@@ -357,34 +357,40 @@ impl ActiveCampaign {
         // grid-backed over the farm window (sharing the farm sweep's
         // grid `Arc`s); instants outside the window fall back to direct
         // SGP4 bit-identically.
-        // Build (and thereby validate) every propagator exactly once;
-        // the pool closures below clone these instead of re-deriving —
-        // and possibly panicking on — the raw elements.
-        let mut sgp4s: Vec<Sgp4> = Vec::with_capacity(catalog.len());
-        let mut predictors: Vec<PassPredictor> = Vec::with_capacity(catalog.len());
-        for sat in &catalog {
-            let sgp4 = sat
-                .sgp4()
-                .map_err(|e| SatIotError::orbit("building Tianqi farm predictors", e))?;
-            let predictor = sweep::predictor_with_mode(
-                opts.ephemeris,
-                opts.visibility,
-                opts.culling,
-                GridKey::new(sat.constellation, sat.sat_id, t0, t0 + cfg.days),
-                &sgp4,
-                farm,
-                calib::THEORETICAL_MASK_RAD,
-            )
-            .unwrap_or_else(|| {
-                // A culled (farm, satellite) pair produces no farm
-                // passes, so its event-loop predictor is never sampled;
-                // a plain ungridded one keeps the index mapping intact.
-                PassPredictor::new(sgp4.clone(), farm, calib::THEORETICAL_MASK_RAD)
-                    .with_visibility(opts.visibility)
+        // Build (and thereby validate) every propagator exactly once,
+        // serially, so the first failure in catalog order is the one
+        // reported; the pool closures below clone these instead of
+        // re-deriving — and possibly panicking on — the raw elements.
+        let sgp4s: Vec<Sgp4> = catalog
+            .iter()
+            .map(|sat| {
+                sat.sgp4()
+                    .map_err(|e| SatIotError::orbit("building Tianqi farm predictors", e))
+            })
+            .collect::<Result<_, _>>()?;
+        // Cold, each predictor builds its satellite's farm-window grid,
+        // so they are built on the pool.
+        let predictors: Vec<PassPredictor> =
+            pool::parallel_map_with(&catalog, threads, |i, sat| {
+                let sgp4 = &sgp4s[i];
+                sweep::predictor_with_mode(
+                    opts.ephemeris,
+                    opts.visibility,
+                    opts.culling,
+                    GridKey::new(sat.constellation, sat.sat_id, t0, t0 + cfg.days),
+                    sgp4,
+                    farm,
+                    calib::THEORETICAL_MASK_RAD,
+                )
+                .unwrap_or_else(|| {
+                    // A culled (farm, satellite) pair produces no farm
+                    // passes, so its event-loop predictor is never
+                    // sampled; a plain ungridded one keeps the index
+                    // mapping intact.
+                    PassPredictor::new(sgp4.clone(), farm, calib::THEORETICAL_MASK_RAD)
+                        .with_visibility(opts.visibility)
+                })
             });
-            predictors.push(predictor);
-            sgp4s.push(sgp4);
-        }
         let farm_lists: Vec<Arc<Vec<Pass>>> =
             pool::parallel_map_with(&catalog, threads, |i, sat| {
                 let sgp4 = sgp4s[i].clone();
@@ -1089,6 +1095,40 @@ mod tests {
         assert!(!r.delivered_seqs.is_empty(), "nothing delivered");
         let rel = r.reliability();
         assert!(rel > 0.5, "reliability {rel}");
+    }
+
+    /// A cold run builds its grids and pass lists (the farm predictors
+    /// on the pool); a warm rerun reads them back. Both must produce the
+    /// same results. The window length is one no other test uses, so
+    /// the first run starts cold without clearing the shared caches
+    /// under concurrently running tests.
+    #[test]
+    fn cold_and_warm_runs_agree() {
+        let digest = |r: &ActiveResults| {
+            let mut delivered: Vec<u64> = r.delivered_seqs.iter().copied().collect();
+            delivered.sort_unstable();
+            format!(
+                "{:?} {:?} {:?} {delivered:?} {:?} {:?} {} {} {:?}",
+                r.timelines,
+                r.latency_min,
+                r.sent,
+                r.counters,
+                r.node_drop_ratio,
+                r.server.arrivals,
+                r.horizon_s.to_bits(),
+                r.faults
+            )
+        };
+        let opts = RunOptions {
+            threads: Some(2),
+            ..RunOptions::default()
+        };
+        let mut cfg = ActiveConfig::quick(1.375);
+        cfg.seed = 11;
+        let cold = ActiveCampaign::new(cfg.clone()).run(&opts).unwrap();
+        let warm = ActiveCampaign::new(cfg).run(&opts).unwrap();
+        assert!(!cold.sent.is_empty());
+        assert_eq!(digest(&cold), digest(&warm));
     }
 
     #[test]

@@ -335,9 +335,10 @@ pub fn stats() -> CacheStats {
     }
 }
 
-/// Drop every cached pass list *and* every stored ephemeris grid, and
-/// zero both sets of counters (benches measuring cold-cache sweeps;
-/// long-lived processes rotating TLE epochs).
+/// Drop every cached pass list *and* every stored ephemeris grid, zero
+/// both sets of counters, and hand the freed heap pages back to the OS
+/// (benches measuring cold-cache sweeps; long-lived processes rotating
+/// TLE epochs).
 pub fn clear() {
     cache().clear();
     CACHE_ENTRIES.set(0);
@@ -349,6 +350,29 @@ pub fn clear() {
     GRID_LOOKUPS.store(0, Relaxed);
     GRID_COMPUTES.store(0, Relaxed);
     GRID_EVICTIONS.store(0, Relaxed);
+    release_freed_memory();
+}
+
+/// Hand the heap pages a cache drop freed back to the OS.
+///
+/// glibc keeps freed chunks resident in the arena of the thread that
+/// allocated them, and a pool thread attached to another arena cannot
+/// reuse them. Without this, a process that clears and rebuilds its
+/// caches (benchmark units, TLE-epoch rotation) can carry hundreds of
+/// MiB of dead grid pages on top of its live set.
+fn release_freed_memory() {
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    {
+        extern "C" {
+            fn malloc_trim(pad: usize) -> std::os::raw::c_int;
+        }
+        // SAFETY: `malloc_trim` takes no pointers and only walks
+        // glibc's own arenas, under their locks; any thread may call it
+        // at any time.
+        unsafe {
+            malloc_trim(0);
+        }
+    }
 }
 
 /// What one [`enforce_cache_budget`] pass did.

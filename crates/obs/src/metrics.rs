@@ -257,17 +257,18 @@ impl HistogramInner {
         self.dropped.store(0, Relaxed);
     }
 
-    fn record(&self, v: f64) {
+    fn record_n(&self, v: f64, n: u64) {
         if !crate::invariants::flag_non_finite("metrics::Histogram::record", v) {
-            self.dropped.fetch_add(1, Relaxed);
+            self.dropped.fetch_add(n, Relaxed);
             return;
         }
         let idx = self.bounds.partition_point(|b| v > *b);
-        self.buckets[idx].fetch_add(1, Relaxed);
-        self.count.fetch_add(1, Relaxed);
+        self.buckets[idx].fetch_add(n, Relaxed);
+        self.count.fetch_add(n, Relaxed);
+        let add = v * n as f64;
         let mut cur = self.sum_bits.load(Relaxed);
         loop {
-            let next = (f64::from_bits(cur) + v).to_bits();
+            let next = (f64::from_bits(cur) + add).to_bits();
             match self
                 .sum_bits
                 .compare_exchange_weak(cur, next, Relaxed, Relaxed)
@@ -330,8 +331,17 @@ impl Histogram {
     /// Record one sample.
     #[inline]
     pub fn record(&self, v: f64) {
+        self.record_n(v, 1);
+    }
+
+    /// Record `n` samples of value `v` with one update: the buckets,
+    /// count, minimum and maximum of `n` [`record`](Self::record) calls,
+    /// and the same sum whenever those calls' additions are exact, as
+    /// for integer-valued samples (hot loops tally locally, then flush).
+    #[inline]
+    pub fn record_n(&self, v: f64, n: u64) {
         if enabled() {
-            self.slot().record(v);
+            self.slot().record_n(v, n);
         }
     }
 
@@ -574,11 +584,31 @@ mod tests {
     #[test]
     fn bucket_edges() {
         let h = HistogramInner::with_bounds(&[1.0, 2.0]);
-        h.record(1.0); // on the bound: first bucket
-        h.record(1.0001); // second bucket
-        h.record(7.0); // overflow
+        h.record_n(1.0, 1); // on the bound: first bucket
+        h.record_n(1.0001, 1); // second bucket
+        h.record_n(7.0, 1); // overflow
         assert_eq!(h.buckets[0].load(Relaxed), 1);
         assert_eq!(h.buckets[1].load(Relaxed), 1);
         assert_eq!(h.buckets[2].load(Relaxed), 1);
+    }
+
+    #[test]
+    fn batched_records_equal_single_records() {
+        let state = |h: &HistogramInner| {
+            let mut words: Vec<u64> = h.buckets.iter().map(|b| b.load(Relaxed)).collect();
+            for cell in [&h.count, &h.sum_bits, &h.min_bits, &h.max_bits, &h.dropped] {
+                words.push(cell.load(Relaxed));
+            }
+            words
+        };
+        let single = HistogramInner::with_bounds(&[1.0, 2.0, 5.0]);
+        let batched = HistogramInner::with_bounds(&[1.0, 2.0, 5.0]);
+        for (v, n) in [(1.0, 3), (4.0, 1_000), (9.0, 7), (f64::NAN, 2)] {
+            for _ in 0..n {
+                single.record_n(v, 1);
+            }
+            batched.record_n(v, n);
+        }
+        assert_eq!(state(&single), state(&batched));
     }
 }

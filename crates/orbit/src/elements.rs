@@ -172,7 +172,7 @@ impl Elements {
 /// would survive a *second* wrap as `0.0` (a bit-identity hazard
 /// between once- and twice-normalised pipelines).
 pub fn wrap_tau(x: f64) -> f64 {
-    let mut w = x % TAU;
+    let mut w = crate::rem_tau(x);
     if w < 0.0 {
         w += TAU;
     }

@@ -39,6 +39,26 @@
 //!   constellations by the `ephemeris_check` CI binary and by the
 //!   `prop_orbit` property tests).
 //!
+//! ## The lattice kernel
+//!
+//! Cold grid builds are the largest cost of a full-scale campaign, so
+//! [`EphemerisGrid::build`] runs a lean per-sample kernel whose output
+//! is bit for bit that of `teme_to_ecef(&sgp4.propagate_at(t)?, t)`:
+//!
+//! * SGP4's per-element-set invariants (`ao`, `sin`/`cos` of the
+//!   inclination) are computed once at construction, not per sample;
+//! * the six angle wraps per sample (five in SGP4, one in GMST) use
+//!   [`crate::rem_tau`] instead of libm `fmod`. It is exact: once its
+//!   quotient `n` is right, the true remainder `|x| − n·τ` is
+//!   representable, so the single rounding of `(-n).mul_add(τ, |x|)`
+//!   returns it unchanged, and a wrong `n` shows as a result outside
+//!   `[0, τ)` and is corrected by one step;
+//! * one `sin_cos` of GMST rotates both position and velocity;
+//! * the propagation counters and the Kepler-iteration histogram are
+//!   updated once per grid, not once per sample, so the two pool
+//!   threads no longer share a cache line on every sample. The totals
+//!   are those of `n` counted propagations.
+//!
 //! ## The `SATIOT_EPHEMERIS` knob
 //!
 //! * `SATIOT_EPHEMERIS=0` (or `off`) — direct SGP4 everywhere; the A/B
@@ -54,7 +74,7 @@
 //! would break bit-determinism).
 
 use crate::frames::{teme_to_ecef, StateEcef};
-use crate::sgp4::Sgp4;
+use crate::sgp4::{count_propagations, KeplerTally, Sgp4};
 use crate::time::JulianDate;
 use crate::vec3::Vec3;
 use satiot_obs::metrics::Counter;
@@ -219,10 +239,11 @@ impl EphemerisGrid {
         let padded_span = span_s + 4.0 * step_s;
         let n = (padded_span / step_s).ceil() as usize + 1;
         let nan = Vec3::new(f64::NAN, f64::NAN, f64::NAN);
+        let mut kepler = KeplerTally::default();
         let samples: Vec<StateEcef> = (0..n)
             .map(|k| {
                 let t = t0.plus_seconds(k as f64 * step_s);
-                match sgp4.propagate_at(t) {
+                match sgp4.propagate_uncounted(t.minutes_since(sgp4.epoch), &mut kepler) {
                     Ok(state) => teme_to_ecef(&state, t),
                     Err(_) => StateEcef {
                         position_km: nan,
@@ -231,6 +252,8 @@ impl EphemerisGrid {
                 }
             })
             .collect();
+        count_propagations(n as u64);
+        kepler.record();
         GRIDS_BUILT.inc();
         GRID_SAMPLES.add(samples.len() as u64);
         let mut max_radius_km = 0.0_f64;
@@ -432,6 +455,71 @@ mod tests {
             let direct = teme_to_ecef(&sgp4.propagate_at(t).unwrap(), t);
             assert!((interp.position_km - direct.position_km).norm() < 1e-3);
             assert!((interp.velocity_km_s - direct.velocity_km_s).norm() < 1e-5);
+        }
+    }
+
+    /// Every lattice sample is bit for bit what direct propagation plus
+    /// `teme_to_ecef` gives at its instant; failed samples stay NaN.
+    #[test]
+    fn lattice_samples_equal_direct_propagation_bit_for_bit() {
+        use crate::sgp4::{EARTH_RADIUS_KM, MU_KM3_S2};
+        use crate::tle::Tle;
+        let circular = |alt_km: f64, bstar: f64| {
+            let a = EARTH_RADIUS_KM + alt_km;
+            let n = (MU_KM3_S2 / (a * a * a)).sqrt() * 60.0;
+            Sgp4::from_elements(n, 0.001, 0.9, 0.3, 0.2, 0.1, bstar, epoch()).unwrap()
+        };
+        // The Spacetrack #3 drag orbit (full drag terms).
+        let drag = Sgp4::new(
+            &Tle::parse_lines(
+                "1 88888U          80275.98708465  .00073094  13844-3  66816-4 0    87",
+                "2 88888  72.8435 115.9689 0086731  52.6988 110.5714 16.05824518  1058",
+            )
+            .unwrap(),
+        )
+        .unwrap();
+        // Perigee below 220 km: the simplified-drag (`isimp`) branch.
+        let simple = circular(180.0, 1e-4);
+        // Heavy drag: decays about 0.9 days after epoch.
+        let decaying = circular(300.0, 0.05);
+        for (name, sgp4, days) in [
+            ("drag", &drag, 1.0),
+            ("isimp", &simple, 0.5),
+            ("decaying", &decaying, 1.5),
+        ] {
+            let start = sgp4.epoch;
+            let grid = EphemerisGrid::build(sgp4, start, start + days);
+            let mut failed = 0;
+            for (k, sample) in grid.samples().iter().enumerate() {
+                let t = grid.sample_time(k);
+                let got = [sample.position_km, sample.velocity_km_s];
+                match sgp4.propagate_at(t) {
+                    Ok(state) => {
+                        let direct = teme_to_ecef(&state, t);
+                        let want = [direct.position_km, direct.velocity_km_s];
+                        for (g, w) in got.iter().zip(&want) {
+                            assert_eq!(
+                                [g.x.to_bits(), g.y.to_bits(), g.z.to_bits()],
+                                [w.x.to_bits(), w.y.to_bits(), w.z.to_bits()],
+                                "{name}: sample {k}"
+                            );
+                        }
+                    }
+                    Err(_) => {
+                        failed += 1;
+                        assert!(
+                            got.iter()
+                                .all(|v| v.x.is_nan() && v.y.is_nan() && v.z.is_nan()),
+                            "{name}: failed sample {k} is not NaN"
+                        );
+                    }
+                }
+            }
+            if name == "decaying" {
+                assert!(failed > 0 && failed < grid.len(), "{failed} failed samples");
+            } else {
+                assert_eq!(failed, 0, "{name}");
+            }
         }
     }
 

@@ -71,10 +71,10 @@ pub struct StateEcef {
 ///
 /// Velocity is corrected for the frame rotation (`v_ecef = R·v_teme − ω×r`).
 pub fn teme_to_ecef(state: &StateTeme, when: JulianDate) -> StateEcef {
-    let gmst = when.gmst_rad();
     // ECEF = R3(gmst) · TEME, i.e. rotate by −gmst about Z.
-    let r = state.position_km.rotate_z(-gmst);
-    let v_rot = state.velocity_km_s.rotate_z(-gmst);
+    let rotation = (-when.gmst_rad()).sin_cos();
+    let r = state.position_km.rotate_z_by(rotation);
+    let v_rot = state.velocity_km_s.rotate_z_by(rotation);
     let omega = Vec3::new(0.0, 0.0, EARTH_OMEGA_RAD_S);
     let v = v_rot - omega.cross(r);
     StateEcef {

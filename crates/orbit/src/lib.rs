@@ -84,3 +84,95 @@ pub use visibility::VisibilityMode;
 
 /// Speed of light in km/s, used for Doppler computations.
 pub const SPEED_OF_LIGHT_KM_S: f64 = 299_792.458;
+
+/// `x % TAU`, bit for bit, without libm's `fmod` on the common path.
+///
+/// SGP4 and GMST wrap angles six times per propagated sample; `fmod`
+/// (what `%` lowers to) costs several times this fast path. The result
+/// equals `x % TAU` in every bit, sign of zero included:
+///
+/// * for finite `|x| < 2⁴⁰·τ`, the quotient `n = trunc(|x|/τ)` is off
+///   by at most one, since `|x|/τ` carries a relative rounding error of
+///   at most 2⁻⁵³ against a value below 2⁴⁰;
+/// * the true remainder `|x| − n·τ` is exactly representable (as
+///   `fmod`'s always is), so the single rounding of
+///   `(-n).mul_add(τ, |x|)` returns it exactly once `n` is right — the
+///   two-rounding `|x| − n*τ` does not;
+/// * a wrong `n` leaves the result outside `[0, τ)` (rounding is
+///   monotone and `τ` is representable), so one correction step fixes
+///   it;
+/// * NaN, ±∞ and larger magnitudes take the `%` fallback.
+#[inline]
+pub fn rem_tau(x: f64) -> f64 {
+    use core::f64::consts::TAU;
+    const FAST_LIMIT: f64 = 1_099_511_627_776.0 * TAU; // 2⁴⁰·τ, exact.
+    let a = x.abs();
+    if a < FAST_LIMIT {
+        let mut n = (a / TAU) as i64 as f64;
+        let mut r = (-n).mul_add(TAU, a);
+        if r < 0.0 {
+            n -= 1.0;
+            r = (-n).mul_add(TAU, a);
+        } else if r >= TAU {
+            n += 1.0;
+            r = (-n).mul_add(TAU, a);
+        }
+        return r.copysign(x);
+    }
+    x % TAU
+}
+
+#[cfg(test)]
+mod tests {
+    use super::rem_tau;
+    use core::f64::consts::TAU;
+
+    fn same(x: f64) {
+        assert_eq!(
+            rem_tau(x).to_bits(),
+            (x % TAU).to_bits(),
+            "rem_tau({x:e}) = {:e}, % gives {:e}",
+            rem_tau(x),
+            x % TAU
+        );
+    }
+
+    #[test]
+    fn rem_tau_matches_fmod_on_special_values() {
+        let limit = 1_099_511_627_776.0 * TAU;
+        for x in [
+            0.0,
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 3.0,
+            f64::from_bits(1),
+            f64::EPSILON,
+            1.0,
+            TAU,
+            TAU / 2.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::MAX,
+            limit,
+            limit * (1.0 - f64::EPSILON),
+            limit * 1.5,
+            1e300,
+        ] {
+            same(x);
+            same(-x);
+        }
+    }
+
+    #[test]
+    fn rem_tau_matches_fmod_around_multiples_of_tau() {
+        // Near k·τ the quotient rounds across an integer and the fast
+        // path must take its correction step.
+        for k in 0..100_000_u64 {
+            let bits = (k as f64 * TAU).to_bits();
+            for d in -2_i64..=2 {
+                let x = f64::from_bits(bits.saturating_add_signed(d));
+                same(x);
+                same(-x);
+            }
+        }
+    }
+}

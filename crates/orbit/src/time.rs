@@ -75,7 +75,7 @@ impl JulianDate {
             + (876_600.0 * 3_600.0 + 8_640_184.812_866) * tut1
             + 67_310.548_41;
         // 240 sidereal seconds per degree; convert to radians and wrap.
-        temp = (temp * core::f64::consts::PI / 180.0 / 240.0) % TAU;
+        temp = crate::rem_tau(temp * core::f64::consts::PI / 180.0 / 240.0);
         if temp < 0.0 {
             temp += TAU;
         }

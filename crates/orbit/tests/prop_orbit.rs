@@ -302,3 +302,21 @@ proptest! {
         );
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+    /// `rem_tau` is `% TAU` bit for bit. Raw bit patterns cover every
+    /// exponent, both signs, subnormals, NaN and ±∞; folding the
+    /// exponent below 2⁴⁴ concentrates the second probe on the fast
+    /// path and its bound.
+    #[test]
+    fn rem_tau_is_fmod_bit_for_bit(bits in any::<u64>()) {
+        use core::f64::consts::TAU;
+        use satiot_orbit::rem_tau;
+        let exponent = (bits >> 52) & 0x7FF;
+        let folded = (bits & !(0x7FF << 52)) | ((exponent % 1067) << 52);
+        for x in [f64::from_bits(bits), f64::from_bits(folded)] {
+            prop_assert_eq!(rem_tau(x).to_bits(), (x % TAU).to_bits(), "x = {:e}", x);
+        }
+    }
+}
