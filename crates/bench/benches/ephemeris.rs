@@ -37,6 +37,17 @@ fn bench_ephemeris(c: &mut Criterion) {
         b.iter(|| EphemerisGrid::build(black_box(&leo), epoch, epoch + 1.0))
     });
 
+    // The passive campaign's longest window: 212 days at a 139.7 s
+    // step, so SGP4 runs at large `t` (drag polynomials, wide angle
+    // wraps), where a sample costs ~40 % more than within a day. As in
+    // a campaign, another grid over the window keeps its shared lattice
+    // alive, so this times one satellite's share of the build.
+    let long = EphemerisGrid::build(&leo, epoch, epoch + 212.0);
+    c.bench_function("grid_build_212day", |b| {
+        b.iter(|| EphemerisGrid::build(black_box(&leo), epoch, epoch + 212.0))
+    });
+    drop(long);
+
     c.bench_function("grid_state_at", |b| {
         let mut k = 0u64;
         b.iter(|| {

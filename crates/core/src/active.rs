@@ -439,9 +439,12 @@ impl ActiveCampaign {
 
         // GS contact plans: one *(satellite × station)* prediction per
         // pool task (22 sats × 12 stations dominates cold setup time),
-        // every list shared through the cache.
-        let gs_tasks: Vec<(usize, usize)> = (0..catalog.len())
-            .flat_map(|i| (0..gs_sites.len()).map(move |g| (i, g)))
+        // every list shared through the cache. Tasks run station-major:
+        // every station of one satellite shares that satellite's
+        // GS-window grid, so satellite-major order would put both pool
+        // workers on the same grid, one waiting for the other's build.
+        let gs_tasks: Vec<(usize, usize)> = (0..gs_sites.len())
+            .flat_map(|g| (0..catalog.len()).map(move |i| (i, g)))
             .collect();
         let gs_lists: Vec<Arc<Vec<Pass>>> =
             pool::parallel_map_with(&gs_tasks, threads, |_, &(i, g)| {
@@ -475,7 +478,7 @@ impl ActiveCampaign {
             .map(|i| {
                 let mut intervals = Vec::new();
                 for g in 0..gs_sites.len() {
-                    for pass in gs_lists[i * gs_sites.len() + g].iter() {
+                    for pass in gs_lists[g * catalog.len() + i].iter() {
                         intervals.push((pass.aos.seconds_since(t0), pass.los.seconds_since(t0)));
                     }
                 }

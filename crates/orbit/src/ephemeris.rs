@@ -42,8 +42,8 @@
 //! ## The lattice kernel
 //!
 //! Cold grid builds are the largest cost of a full-scale campaign, so
-//! [`EphemerisGrid::build`] runs a lean per-sample kernel whose output
-//! is bit for bit that of `teme_to_ecef(&sgp4.propagate_at(t)?, t)`:
+//! [`EphemerisGrid::build`] runs a lean kernel whose output is bit for
+//! bit that of `teme_to_ecef(&sgp4.propagate_at(t)?, t)`:
 //!
 //! * SGP4's per-element-set invariants (`ao`, `sin`/`cos` of the
 //!   inclination) are computed once at construction, not per sample;
@@ -53,11 +53,44 @@
 //!   representable, so the single rounding of `(-n).mul_add(τ, |x|)`
 //!   returns it unchanged, and a wrong `n` shows as a result outside
 //!   `[0, τ)` and is corrected by one step;
-//! * one `sin_cos` of GMST rotates both position and velocity;
 //! * the propagation counters and the Kepler-iteration histogram are
 //!   updated once per grid, not once per sample, so the two pool
 //!   threads no longer share a cache line on every sample. The totals
 //!   are those of `n` counted propagations.
+//!
+//! ### Lane kernel and shared lattice
+//!
+//! Two more levers keep every bit:
+//!
+//! * **Lanes.** Eight consecutive instants go through SGP4 together
+//!   (`Sgp4::propagate_lanes`). Each arithmetic expression is the
+//!   scalar one, in the same order, over fixed `[f64; 8]` arrays, so
+//!   it vectorises, and it runs in an AVX2/FMA body when the CPU has
+//!   one (runtime dispatch, as in [`visibility`](crate::visibility)).
+//!   IEEE-754 `+ − × ÷ √` round each lane exactly as scalar code does;
+//!   Rust never contracts `a * b + c` into an FMA; `mul_add` rounds once
+//!   with or without hardware FMA; and every `sin`, `cos`, `powf` and
+//!   `atan2` stays one libm call per lane. The Kepler loop runs per
+//!   lane. A lane the scalar code would reject before Kepler's
+//!   equation (eccentricity out of range) is not tallied; every failed
+//!   lane stores NaN. The scalar `Sgp4::propagate` serves the last
+//!   `n mod 8` samples and every direct query.
+//! * **Shared lattice.** Every satellite's grid over one window samples
+//!   the same instants, bit for bit, so they share one [`Lattice`]:
+//!   `t0`, the step, and the `(-gmst).sin_cos()` that rotates each
+//!   instant from TEME to ECEF, computed once per window instead of once
+//!   per satellite. It is memoised under its exact window,
+//!   `(start bits, end bits)`, which fixes every instant, so it cannot
+//!   serve another window. The memo holds only weak references: a
+//!   lattice lives as long as some grid holds it, and dropping the
+//!   grids (`satiot_core::sweep::clear`) frees it.
+//!
+//! Unit tests run every dispatch body the CPU supports against scalar
+//! `propagate` (drag and `isimp` orbits, batches mixing Ok and failed
+//! lanes, angles past `rem_tau`'s fast range, Kepler tallies), and grid
+//! tests compare every sample of lattices of every length modulo 8
+//! with direct propagation. CI runs the orbit tests in release too,
+//! the only build in which the kernel vectorises.
 //!
 //! ## The `SATIOT_EPHEMERIS` knob
 //!
@@ -73,12 +106,13 @@
 //! its whole duration, so drivers can never mix backends mid-run (which
 //! would break bit-determinism).
 
-use crate::frames::{teme_to_ecef, StateEcef};
-use crate::sgp4::{count_propagations, KeplerTally, Sgp4};
+use crate::frames::{teme_to_ecef, teme_to_ecef_by, StateEcef};
+use crate::sgp4::{count_propagations, KeplerTally, Sgp4, LANES};
 use crate::time::JulianDate;
 use crate::vec3::Vec3;
 use satiot_obs::metrics::Counter;
 use std::sync::atomic::{AtomicU8, Ordering::Relaxed};
+use std::sync::{Arc, Mutex, PoisonError, Weak};
 
 /// Grids built process-wide (metrics).
 static GRIDS_BUILT: Counter = Counter::new("orbit.ephemeris.grids_built");
@@ -168,6 +202,89 @@ impl ValidationReport {
     }
 }
 
+/// The sample instants of one scan window and the TEME→ECEF rotation
+/// at each, shared by every grid built over that window.
+///
+/// Every satellite's grid over a window samples the same instants, bit
+/// for bit, so they share one GMST rotation per instant. Lattices are
+/// memoised by their exact window, `(start bits, end bits)`, which
+/// fixes `t0`, the step and the length; the memo holds only weak
+/// references, so a lattice lives exactly as long as some grid holds
+/// it and needs no clearing of its own.
+#[derive(Debug)]
+pub struct Lattice {
+    /// Time of sample 0 (the window start minus the edge padding).
+    t0: JulianDate,
+    /// Sample spacing, seconds.
+    step_s: f64,
+    /// `(-gmst).sin_cos()` at every instant, as [`teme_to_ecef`]
+    /// computes it; one entry per sample.
+    rotation: Vec<(f64, f64)>,
+}
+
+/// Weak references to lattices, keyed by exact window (see [`Lattice`]).
+type LatticeMemo = Vec<((u64, u64), Weak<Lattice>)>;
+
+/// The process-wide lattice memo.
+static LATTICES: Mutex<LatticeMemo> = Mutex::new(Vec::new());
+
+impl Lattice {
+    /// The lattice for `[start, end]`: two steps of padding on each
+    /// side at [`EphemerisGrid::step_for_span`]'s cadence, or no
+    /// instants at all for a degenerate window.
+    fn new(start: JulianDate, end: JulianDate) -> Lattice {
+        let span_s = end.seconds_since(start);
+        if !(span_s.is_finite() && span_s > 0.0 && start.0.is_finite()) {
+            return Lattice {
+                t0: start,
+                step_s: DEFAULT_STEP_S,
+                rotation: Vec::new(),
+            };
+        }
+        let step_s = EphemerisGrid::step_for_span(span_s);
+        let padded_span = span_s + 4.0 * step_s;
+        let mut lattice = Lattice {
+            t0: start.plus_seconds(-2.0 * step_s),
+            step_s,
+            rotation: Vec::new(),
+        };
+        let n = (padded_span / step_s).ceil() as usize + 1;
+        lattice.rotation = (0..n)
+            .map(|k| (-lattice.time(k).gmst_rad()).sin_cos())
+            .collect();
+        lattice
+    }
+
+    /// The memoised lattice for `[start, end]`, built on first use.
+    fn shared(start: JulianDate, end: JulianDate) -> Arc<Lattice> {
+        let key = (start.0.to_bits(), end.0.to_bits());
+        let mut memo = LATTICES.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(lattice) = Self::lookup(&memo, key) {
+            return lattice;
+        }
+        memo.retain(|(_, weak)| weak.strong_count() > 0);
+        let lattice = Arc::new(Lattice::new(start, end));
+        memo.push((key, Arc::downgrade(&lattice)));
+        lattice
+    }
+
+    fn lookup(memo: &LatticeMemo, key: (u64, u64)) -> Option<Arc<Lattice>> {
+        memo.iter()
+            .find(|(k, _)| *k == key)
+            .and_then(|(_, weak)| weak.upgrade())
+    }
+
+    /// Number of instants.
+    fn len(&self) -> usize {
+        self.rotation.len()
+    }
+
+    /// The instant of lattice point `k`.
+    fn time(&self, k: usize) -> JulianDate {
+        self.t0.plus_seconds(k as f64 * self.step_s)
+    }
+}
+
 /// A precomputed, Hermite-interpolable ECEF trajectory of one satellite
 /// over one scan window.
 ///
@@ -186,10 +303,9 @@ impl ValidationReport {
 /// ```
 #[derive(Debug, Clone)]
 pub struct EphemerisGrid {
-    /// Time of sample 0 (the window start minus the edge padding).
-    t0: JulianDate,
-    /// Sample spacing, seconds.
-    step_s: f64,
+    /// The window's instants and GMST rotations, shared with every
+    /// other grid over the same window.
+    lattice: Arc<Lattice>,
     /// One `(position, velocity)` ECEF sample per lattice point. A
     /// sample whose propagation failed stores NaN components; queries
     /// bracketed by one degrade to `None` (callers fall back to direct
@@ -224,34 +340,50 @@ impl EphemerisGrid {
     /// (non-finite or `end ≤ start`) yield an empty grid whose
     /// `state_at` always answers `None`.
     pub fn build(sgp4: &Sgp4, start: JulianDate, end: JulianDate) -> EphemerisGrid {
-        let span_s = end.seconds_since(start);
-        if !(span_s.is_finite() && span_s > 0.0 && start.0.is_finite()) {
+        let lattice = Lattice::shared(start, end);
+        let n = lattice.len();
+        if n == 0 {
             return EphemerisGrid {
-                t0: start,
-                step_s: DEFAULT_STEP_S,
+                lattice,
                 samples: Vec::new(),
                 max_radius_km: f64::NAN,
                 max_angular_rate: f64::NAN,
             };
         }
-        let step_s = Self::step_for_span(span_s);
-        let t0 = start.plus_seconds(-2.0 * step_s);
-        let padded_span = span_s + 4.0 * step_s;
-        let n = (padded_span / step_s).ceil() as usize + 1;
         let nan = Vec3::new(f64::NAN, f64::NAN, f64::NAN);
+        let failed = StateEcef {
+            position_km: nan,
+            velocity_km_s: nan,
+        };
         let mut kepler = KeplerTally::default();
-        let samples: Vec<StateEcef> = (0..n)
-            .map(|k| {
-                let t = t0.plus_seconds(k as f64 * step_s);
-                match sgp4.propagate_uncounted(t.minutes_since(sgp4.epoch), &mut kepler) {
-                    Ok(state) => teme_to_ecef(&state, t),
-                    Err(_) => StateEcef {
-                        position_km: nan,
-                        velocity_km_s: nan,
-                    },
+        let mut samples: Vec<StateEcef> = Vec::with_capacity(n);
+        let mut k = 0;
+        while k + LANES <= n {
+            let t = core::array::from_fn(|i| lattice.time(k + i).minutes_since(sgp4.epoch));
+            let teme = sgp4.propagate_lanes(&t, &mut kepler);
+            let ([px, py, pz], [vx, vy, vz]) = (teme.position_km, teme.velocity_km_s);
+            for i in 0..LANES {
+                samples.push(if teme.ok[i] {
+                    teme_to_ecef_by(
+                        Vec3::new(px[i], py[i], pz[i]),
+                        Vec3::new(vx[i], vy[i], vz[i]),
+                        lattice.rotation[k + i],
+                    )
+                } else {
+                    failed
+                });
+            }
+            k += LANES;
+        }
+        for k in k..n {
+            let t = lattice.time(k).minutes_since(sgp4.epoch);
+            samples.push(match sgp4.propagate_uncounted(t, &mut kepler) {
+                Ok(state) => {
+                    teme_to_ecef_by(state.position_km, state.velocity_km_s, lattice.rotation[k])
                 }
-            })
-            .collect();
+                Err(_) => failed,
+            });
+        }
         count_propagations(n as u64);
         kepler.record();
         GRIDS_BUILT.inc();
@@ -270,8 +402,7 @@ impl EphemerisGrid {
             max_angular_rate = max_angular_rate.max(rate);
         }
         EphemerisGrid {
-            t0,
-            step_s,
+            lattice,
             samples,
             max_radius_km,
             max_angular_rate,
@@ -286,7 +417,7 @@ impl EphemerisGrid {
             GRID_MISSES.inc();
             return None;
         }
-        let x = t.seconds_since(self.t0) / self.step_s;
+        let x = t.seconds_since(self.lattice.t0) / self.lattice.step_s;
         if !(x >= 0.0 && x <= (n - 1) as f64) {
             GRID_MISSES.inc();
             return None;
@@ -305,7 +436,7 @@ impl EphemerisGrid {
         // s = 0 and s = 1 the basis reproduces the stored samples
         // (position and velocity) exactly, so on-lattice queries carry
         // no interpolation error — only time-arithmetic rounding.
-        let h = self.step_s;
+        let h = self.lattice.step_s;
         let s2 = s * s;
         let s3 = s2 * s;
         let h00 = 2.0 * s3 - 3.0 * s2 + 1.0;
@@ -345,7 +476,7 @@ impl EphemerisGrid {
 
     /// Sample spacing, seconds.
     pub fn step_s(&self) -> f64 {
-        self.step_s
+        self.lattice.step_s
     }
 
     /// Maximum geocentric radius over the stored samples, km — `NaN`
@@ -365,9 +496,15 @@ impl EphemerisGrid {
         self.max_angular_rate
     }
 
+    /// The lattice this grid samples, shared with every grid over the
+    /// same window.
+    pub fn lattice(&self) -> &Arc<Lattice> {
+        &self.lattice
+    }
+
     /// The instant of lattice point `k`.
     pub fn sample_time(&self, k: usize) -> JulianDate {
-        self.t0.plus_seconds(k as f64 * self.step_s)
+        self.lattice.time(k)
     }
 
     /// The raw lattice samples, one ECEF state per point (sample `k`
@@ -393,7 +530,10 @@ impl EphemerisGrid {
         let intervals = self.samples.len() - 1;
         let stride = intervals.div_ceil(max_probes).max(1);
         for i in (0..intervals).step_by(stride) {
-            let t = self.t0.plus_seconds((i as f64 + 0.5) * self.step_s);
+            let t = self
+                .lattice
+                .t0
+                .plus_seconds((i as f64 + 0.5) * self.lattice.step_s);
             let (Some(interp), Ok(state)) = (self.state_at(t), sgp4.propagate_at(t)) else {
                 continue;
             };
@@ -458,19 +598,54 @@ mod tests {
         }
     }
 
-    /// Every lattice sample is bit for bit what direct propagation plus
-    /// `teme_to_ecef` gives at its instant; failed samples stay NaN.
+    /// Every lattice sample of `grid` is bit for bit what direct
+    /// propagation plus `teme_to_ecef` gives at its instant; failed
+    /// samples stay NaN. Returns the number of failed samples.
+    fn assert_samples_equal_direct(name: &str, sgp4: &Sgp4, grid: &EphemerisGrid) -> usize {
+        let mut failed = 0;
+        for (k, sample) in grid.samples().iter().enumerate() {
+            let t = grid.sample_time(k);
+            let got = [sample.position_km, sample.velocity_km_s];
+            match sgp4.propagate_at(t) {
+                Ok(state) => {
+                    let direct = teme_to_ecef(&state, t);
+                    let want = [direct.position_km, direct.velocity_km_s];
+                    for (g, w) in got.iter().zip(&want) {
+                        assert_eq!(
+                            [g.x.to_bits(), g.y.to_bits(), g.z.to_bits()],
+                            [w.x.to_bits(), w.y.to_bits(), w.z.to_bits()],
+                            "{name}: sample {k}"
+                        );
+                    }
+                }
+                Err(_) => {
+                    failed += 1;
+                    assert!(
+                        got.iter()
+                            .all(|v| v.x.is_nan() && v.y.is_nan() && v.z.is_nan()),
+                        "{name}: failed sample {k} is not NaN"
+                    );
+                }
+            }
+        }
+        failed
+    }
+
+    fn circular_with_drag(alt_km: f64, bstar: f64) -> Sgp4 {
+        use crate::sgp4::{EARTH_RADIUS_KM, MU_KM3_S2};
+        let a = EARTH_RADIUS_KM + alt_km;
+        let n = (MU_KM3_S2 / (a * a * a)).sqrt() * 60.0;
+        Sgp4::from_elements(n, 0.001, 0.9, 0.3, 0.2, 0.1, bstar, epoch()).unwrap()
+    }
+
     #[test]
     fn lattice_samples_equal_direct_propagation_bit_for_bit() {
-        use crate::sgp4::{EARTH_RADIUS_KM, MU_KM3_S2};
         use crate::tle::Tle;
-        let circular = |alt_km: f64, bstar: f64| {
-            let a = EARTH_RADIUS_KM + alt_km;
-            let n = (MU_KM3_S2 / (a * a * a)).sqrt() * 60.0;
-            Sgp4::from_elements(n, 0.001, 0.9, 0.3, 0.2, 0.1, bstar, epoch()).unwrap()
-        };
-        // The Spacetrack #3 drag orbit (full drag terms).
-        let drag = Sgp4::new(
+        // Perigee above 220 km: the full drag polynomials.
+        let drag = circular_with_drag(550.0, 2e-4);
+        // The Spacetrack #3 orbit (perigee ≈ 200 km) and a circular one
+        // at 180 km: the simplified-drag (`isimp`) branch.
+        let classic = Sgp4::new(
             &Tle::parse_lines(
                 "1 88888U          80275.98708465  .00073094  13844-3  66816-4 0    87",
                 "2 88888  72.8435 115.9689 0086731  52.6988 110.5714 16.05824518  1058",
@@ -478,49 +653,83 @@ mod tests {
             .unwrap(),
         )
         .unwrap();
-        // Perigee below 220 km: the simplified-drag (`isimp`) branch.
-        let simple = circular(180.0, 1e-4);
+        let simple = circular_with_drag(180.0, 1e-4);
         // Heavy drag: decays about 0.9 days after epoch.
-        let decaying = circular(300.0, 0.05);
+        let decaying = circular_with_drag(300.0, 0.05);
         for (name, sgp4, days) in [
             ("drag", &drag, 1.0),
+            ("classic", &classic, 1.0),
             ("isimp", &simple, 0.5),
             ("decaying", &decaying, 1.5),
         ] {
             let start = sgp4.epoch;
             let grid = EphemerisGrid::build(sgp4, start, start + days);
-            let mut failed = 0;
-            for (k, sample) in grid.samples().iter().enumerate() {
-                let t = grid.sample_time(k);
-                let got = [sample.position_km, sample.velocity_km_s];
-                match sgp4.propagate_at(t) {
-                    Ok(state) => {
-                        let direct = teme_to_ecef(&state, t);
-                        let want = [direct.position_km, direct.velocity_km_s];
-                        for (g, w) in got.iter().zip(&want) {
-                            assert_eq!(
-                                [g.x.to_bits(), g.y.to_bits(), g.z.to_bits()],
-                                [w.x.to_bits(), w.y.to_bits(), w.z.to_bits()],
-                                "{name}: sample {k}"
-                            );
-                        }
-                    }
-                    Err(_) => {
-                        failed += 1;
-                        assert!(
-                            got.iter()
-                                .all(|v| v.x.is_nan() && v.y.is_nan() && v.z.is_nan()),
-                            "{name}: failed sample {k} is not NaN"
-                        );
-                    }
-                }
-            }
+            let failed = assert_samples_equal_direct(name, sgp4, &grid);
             if name == "decaying" {
                 assert!(failed > 0 && failed < grid.len(), "{failed} failed samples");
             } else {
                 assert_eq!(failed, 0, "{name}");
             }
         }
+    }
+
+    /// Lattices of every length modulo the kernel's lane count, short
+    /// ones (tail only) included, and a window that decays part-way.
+    #[test]
+    fn lattice_lengths_off_the_lane_count_stay_bit_for_bit() {
+        use crate::sgp4::LANES;
+        let drag = circular_with_drag(550.0, 2e-4);
+        let decaying = circular_with_drag(300.0, 0.05);
+        let mut residues = [false; LANES];
+        let mut mixed = false;
+        for minutes in 1..=3 * LANES {
+            // About m + 5 samples at 60 s (rounding may add one).
+            let start = epoch() + 0.37;
+            let grid = EphemerisGrid::build(&drag, start, start.plus_minutes(minutes as f64));
+            residues[grid.len() % LANES] = true;
+            assert_eq!(assert_samples_equal_direct("drag", &drag, &grid), 0);
+            // Straddling the decay (at 1322 min) and, later, the first
+            // out-of-range eccentricity (at 2796 min), so batches mix
+            // Ok, decayed and never-tallied lanes.
+            for from in [1_315.0, 2_790.0] {
+                let start = decaying.epoch.plus_minutes(from);
+                let end = start.plus_minutes(minutes as f64);
+                let grid = EphemerisGrid::build(&decaying, start, end);
+                let failed = assert_samples_equal_direct("decaying", &decaying, &grid);
+                mixed |= failed > 0 && failed < grid.len();
+            }
+        }
+        assert!(residues.iter().all(|&r| r));
+        assert!(mixed, "no window mixed Ok and failed samples");
+    }
+
+    /// Grids over one window share one lattice; windows one bit apart
+    /// never do; and once the last grid over a window is gone, the memo
+    /// serves nothing for it.
+    #[test]
+    fn lattices_are_shared_by_exact_window_and_die_with_their_grids() {
+        // A window no other test uses.
+        let start = epoch() + 3.125;
+        let end = start + 0.75;
+        let nudged = JulianDate(f64::from_bits(end.0.to_bits() + 1));
+        let key = |s: JulianDate, e: JulianDate| (s.0.to_bits(), e.0.to_bits());
+        let memo = || LATTICES.lock().unwrap_or_else(PoisonError::into_inner);
+        let a = EphemerisGrid::build(&leo(550.0, 97.6), start, end);
+        let b = EphemerisGrid::build(&leo(700.0, 55.0), start, end);
+        let c = EphemerisGrid::build(&leo(550.0, 97.6), start, nudged);
+        assert!(Arc::ptr_eq(a.lattice(), b.lattice()));
+        assert!(!Arc::ptr_eq(a.lattice(), c.lattice()));
+        assert!(Lattice::lookup(&memo(), key(start, end)).is_some());
+        // The memo holds no strong reference of its own.
+        assert_eq!(Arc::strong_count(a.lattice()), 2);
+        let weak = Arc::downgrade(a.lattice());
+        drop((a, b, c));
+        assert!(weak.upgrade().is_none());
+        assert!(Lattice::lookup(&memo(), key(start, end)).is_none());
+        assert!(Lattice::lookup(&memo(), key(start, nudged)).is_none());
+        // A rebuild after that makes a fresh lattice with the same bits.
+        let again = EphemerisGrid::build(&leo(550.0, 97.6), start, end);
+        assert_eq!(again.len(), Lattice::new(start, end).len());
     }
 
     #[test]

@@ -72,9 +72,23 @@ pub struct StateEcef {
 /// Velocity is corrected for the frame rotation (`v_ecef = R·v_teme − ω×r`).
 pub fn teme_to_ecef(state: &StateTeme, when: JulianDate) -> StateEcef {
     // ECEF = R3(gmst) · TEME, i.e. rotate by −gmst about Z.
-    let rotation = (-when.gmst_rad()).sin_cos();
-    let r = state.position_km.rotate_z_by(rotation);
-    let v_rot = state.velocity_km_s.rotate_z_by(rotation);
+    teme_to_ecef_by(
+        state.position_km,
+        state.velocity_km_s,
+        (-when.gmst_rad()).sin_cos(),
+    )
+}
+
+/// [`teme_to_ecef`] given its rotation `(-gmst).sin_cos()` (lattice
+/// builds share one table of these across satellites).
+#[inline]
+pub(crate) fn teme_to_ecef_by(
+    position_km: Vec3,
+    velocity_km_s: Vec3,
+    rotation: (f64, f64),
+) -> StateEcef {
+    let r = position_km.rotate_z_by(rotation);
+    let v_rot = velocity_km_s.rotate_z_by(rotation);
     let omega = Vec3::new(0.0, 0.0, EARTH_OMEGA_RAD_S);
     let v = v_rot - omega.cross(r);
     StateEcef {

@@ -85,6 +85,9 @@ pub use visibility::VisibilityMode;
 /// Speed of light in km/s, used for Doppler computations.
 pub const SPEED_OF_LIGHT_KM_S: f64 = 299_792.458;
 
+/// Magnitude below which [`rem_tau`] takes its fast path: 2⁴⁰·τ, exact.
+pub(crate) const REM_TAU_FAST_LIMIT: f64 = 1_099_511_627_776.0 * core::f64::consts::TAU;
+
 /// `x % TAU`, bit for bit, without libm's `fmod` on the common path.
 ///
 /// SGP4 and GMST wrap angles six times per propagated sample; `fmod`
@@ -105,9 +108,8 @@ pub const SPEED_OF_LIGHT_KM_S: f64 = 299_792.458;
 #[inline]
 pub fn rem_tau(x: f64) -> f64 {
     use core::f64::consts::TAU;
-    const FAST_LIMIT: f64 = 1_099_511_627_776.0 * TAU; // 2⁴⁰·τ, exact.
     let a = x.abs();
-    if a < FAST_LIMIT {
+    if a < REM_TAU_FAST_LIMIT {
         let mut n = (a / TAU) as i64 as f64;
         let mut r = (-n).mul_add(TAU, a);
         if r < 0.0 {

@@ -107,10 +107,15 @@ pub struct StateTeme {
 /// all secular and periodic coefficients; [`Sgp4::propagate`] is then cheap
 /// and can be called millions of times, which the campaign simulators
 /// rely on. On a 2-core Xeon (glibc 2.36) one call takes about 0.34 µs
-/// (the `sgp4_propagate` criterion bench, one thread), and a traced
-/// `perfbench` `paper_full` run builds its grids at about 0.26 µs of
-/// wall time per sample on two threads (`orbit.sgp4.ns_per_call`,
-/// propagation plus the TEME→ECEF rotation).
+/// (the `sgp4_propagate` criterion bench, one thread). Ephemeris grids
+/// sample through the lane kernel instead (`propagate_lanes`, eight
+/// instants per call, bit for bit the same) over a shared GMST table:
+/// one satellite's 212-day grid costs about 0.31–0.36 µs per sample
+/// on one thread (`grid_build_212day`; large offsets make samples
+/// dearer than within a day), and a traced `perfbench` `paper_full`
+/// run builds its grids at about 0.15–0.19 µs of wall time per sample
+/// on two threads (`orbit.sgp4.ns_per_call`, propagation plus the
+/// TEME→ECEF rotation).
 #[derive(Debug, Clone)]
 pub struct Sgp4 {
     // Elements.
@@ -572,6 +577,259 @@ impl Sgp4 {
     pub fn propagate_at(&self, when: JulianDate) -> Result<StateTeme, OrbitError> {
         self.propagate(when.minutes_since(self.epoch))
     }
+
+    /// [`Self::propagate_uncounted`] at [`LANES`] offsets at once, bit
+    /// for bit per lane, through the widest kernel the CPU supports.
+    pub(crate) fn propagate_lanes(&self, t: &Lanes, kepler: &mut KeplerTally) -> TemeLanes {
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::arch::is_x86_feature_detected!("avx2")
+                && std::arch::is_x86_feature_detected!("fma")
+            {
+                // SAFETY: guarded by the runtime AVX2/FMA detection above.
+                return unsafe { propagate_lanes_avx2(self, t, kepler) };
+            }
+        }
+        propagate_lanes_body(self, t, kepler)
+    }
+}
+
+/// Offsets per [`Sgp4::propagate_lanes`] call.
+pub(crate) const LANES: usize = 8;
+
+/// One `f64` per lane.
+pub(crate) type Lanes = [f64; LANES];
+
+/// The TEME states of one [`Sgp4::propagate_lanes`] batch, one lane
+/// per offset. A lane whose propagation failed has `ok == false` and
+/// unspecified components.
+pub(crate) struct TemeLanes {
+    /// Position x, y, z, km.
+    pub(crate) position_km: [Lanes; 3],
+    /// Velocity x, y, z, km/s.
+    pub(crate) velocity_km_s: [Lanes; 3],
+    /// Whether the lane's propagation succeeded.
+    pub(crate) ok: [bool; LANES],
+}
+
+/// `f(i)` for every lane. A fixed trip count over plain arrays, so
+/// arithmetic-only closures compile to straight-line SIMD.
+#[inline(always)]
+fn lanes(mut f: impl FnMut(usize) -> f64) -> Lanes {
+    let mut out = [0.0; LANES];
+    for (i, o) in out.iter_mut().enumerate() {
+        *o = f(i);
+    }
+    out
+}
+
+/// [`crate::rem_tau`] on every lane, bit for bit: the fast path on all
+/// lanes, then the same `%` fallback for lanes beyond its bound (or
+/// NaN). Of `rem_tau`'s two corrections only "quotient one too large"
+/// can fire — `|x| ≥ n·τ` for the true quotient `n`, and rounding is
+/// monotone, so `|x|/τ` never rounds below `n` — and here it is a
+/// select that leaves a right quotient unchanged.
+#[inline(always)]
+fn rem_tau_lanes(x: &Lanes) -> Lanes {
+    let mut out = lanes(|i| {
+        let a = x[i].abs();
+        let n = (a / TAU) as i64 as f64;
+        let r = (-n).mul_add(TAU, a);
+        let n = if r < 0.0 { n - 1.0 } else { n };
+        (-n).mul_add(TAU, a).copysign(x[i])
+    });
+    for (o, &xi) in out.iter_mut().zip(x) {
+        if xi.abs() >= crate::REM_TAU_FAST_LIMIT || xi.is_nan() {
+            *o = rem_tau_fallback(xi);
+        }
+    }
+    out
+}
+
+/// `rem_tau`'s `%` fallback, kept out of line: inline, the vectoriser
+/// would if-convert the fallback loop and run `fmod` on every lane.
+#[cold]
+#[inline(never)]
+fn rem_tau_fallback(x: f64) -> f64 {
+    x % TAU
+}
+
+/// The lane kernel: [`Sgp4::propagate_uncounted`] restated lane-wise.
+/// Every arithmetic expression is the scalar one, in the same order,
+/// run over fixed arrays so it vectorises; every transcendental (`sin`,
+/// `cos`, `powf`, `atan2`) stays one libm call per lane, and the Kepler
+/// loop runs per lane. Rust never contracts `a * b + c` into an FMA, so
+/// each lane rounds exactly as the scalar code does under any target
+/// features. A lane that fails the eccentricity check never reaches
+/// the Kepler loop and is not tallied, as in the scalar code.
+#[inline(always)]
+fn propagate_lanes_body(s: &Sgp4, t: &Lanes, kepler: &mut KeplerTally) -> TemeLanes {
+    if s.no_unkozai <= 0.0 {
+        return TemeLanes {
+            position_km: [[f64::NAN; LANES]; 3],
+            velocity_km_s: [[f64::NAN; LANES]; 3],
+            ok: [false; LANES],
+        };
+    }
+
+    // ---- Secular gravity and atmospheric drag. ----
+    let xmdf = lanes(|i| s.mo + s.mdot * t[i]);
+    let argpdf = lanes(|i| s.argpo + s.argpdot * t[i]);
+    let nodedf = lanes(|i| s.nodeo + s.nodedot * t[i]);
+    let mut argpm = argpdf;
+    let mut mm = xmdf;
+    let t2 = lanes(|i| t[i] * t[i]);
+    let nodem = lanes(|i| nodedf[i] + s.nodecf * t2[i]);
+    let mut tempa = lanes(|i| 1.0 - s.cc1 * t[i]);
+    let mut tempe = lanes(|i| s.bstar * s.cc4 * t[i]);
+    let mut templ = lanes(|i| s.t2cof * t2[i]);
+
+    if !s.isimp {
+        let cos_xmdf = lanes(|i| xmdf[i].cos());
+        for i in 0..LANES {
+            let delomg = s.omgcof * t[i];
+            let delmtemp = 1.0 + s.eta * cos_xmdf[i];
+            let delm = s.xmcof * (delmtemp.powi(3) - s.delmo);
+            let temp = delomg + delm;
+            mm[i] = xmdf[i] + temp;
+            argpm[i] = argpdf[i] - temp;
+            let t3 = t2[i] * t[i];
+            let t4 = t3 * t[i];
+            tempa[i] = tempa[i] - s.d2 * t2[i] - s.d3 * t3 - s.d4 * t4;
+            templ[i] = templ[i] + s.t3cof * t3 + t4 * (s.t4cof + t[i] * s.t5cof);
+        }
+        let sin_mm = lanes(|i| mm[i].sin());
+        for i in 0..LANES {
+            tempe[i] += s.bstar * s.cc5 * (sin_mm[i] - s.sinmao);
+        }
+    }
+
+    let am = lanes(|i| s.ao * tempa[i] * tempa[i]);
+    let am_pow = lanes(|i| am[i].powf(1.5));
+    let nm = lanes(|i| XKE / am_pow[i]);
+    let em = lanes(|i| s.ecco - tempe[i]);
+    let reached_kepler: [bool; LANES] = core::array::from_fn(|i| !(em[i] >= 1.0 || em[i] < -0.001));
+    let em = lanes(|i| if em[i] < 1.0e-6 { 1.0e-6 } else { em[i] });
+    let mm = lanes(|i| mm[i] + s.no_unkozai * templ[i]);
+    let xlm = lanes(|i| mm[i] + argpm[i] + nodem[i]);
+
+    let nodem = rem_tau_lanes(&nodem);
+    let argpm = rem_tau_lanes(&argpm);
+    let xlm = rem_tau_lanes(&xlm);
+    let mm = rem_tau_lanes(&lanes(|i| xlm[i] - argpm[i] - nodem[i]));
+
+    // ---- Long-period periodics (`xincp == inclo`, see `sinio`). ----
+    let (ep, argpp, nodep, mp) = (em, argpm, nodem, mm);
+    let cos_argpp = lanes(|i| argpp[i].cos());
+    let sin_argpp = lanes(|i| argpp[i].sin());
+    let axnl = lanes(|i| ep[i] * cos_argpp[i]);
+    let temp = lanes(|i| 1.0 / (am[i] * (1.0 - ep[i] * ep[i])));
+    let aynl = lanes(|i| ep[i] * sin_argpp[i] + temp[i] * s.aycof);
+    let xl = lanes(|i| mp[i] + argpp[i] + nodep[i] + temp[i] * s.xlcof * axnl[i]);
+
+    // ---- Kepler's equation, per lane. ----
+    let u = rem_tau_lanes(&lanes(|i| xl[i] - nodep[i]));
+    let mut sineo1 = [0.0; LANES];
+    let mut coseo1 = [0.0; LANES];
+    for i in 0..LANES {
+        if !reached_kepler[i] {
+            continue;
+        }
+        let (axnl, aynl, u) = (axnl[i], aynl[i], u[i]);
+        let mut eo1 = u;
+        let mut tem5: f64 = 9999.9;
+        let mut ktr: usize = 1;
+        while tem5.abs() >= 1.0e-12 && ktr <= 10 {
+            sineo1[i] = eo1.sin();
+            coseo1[i] = eo1.cos();
+            tem5 = 1.0 - coseo1[i] * axnl - sineo1[i] * aynl;
+            tem5 = (u - aynl * coseo1[i] + axnl * sineo1[i] - eo1) / tem5;
+            if tem5.abs() >= 0.95 {
+                tem5 = 0.95 * tem5.signum();
+            }
+            eo1 += tem5;
+            ktr += 1;
+        }
+        kepler.0[ktr - 1] += 1;
+    }
+
+    // ---- Short-period preliminary quantities. ----
+    let ecose = lanes(|i| axnl[i] * coseo1[i] + aynl[i] * sineo1[i]);
+    let esine = lanes(|i| axnl[i] * sineo1[i] - aynl[i] * coseo1[i]);
+    let el2 = lanes(|i| axnl[i] * axnl[i] + aynl[i] * aynl[i]);
+    let pl = lanes(|i| am[i] * (1.0 - el2[i]));
+
+    let rl = lanes(|i| am[i] * (1.0 - ecose[i]));
+    let rdotl = lanes(|i| am[i].sqrt() * esine[i] / rl[i]);
+    let rvdotl = lanes(|i| pl[i].sqrt() / rl[i]);
+    let betal = lanes(|i| (1.0 - el2[i]).sqrt());
+    let temp = lanes(|i| esine[i] / (1.0 + betal[i]));
+    let sinu = lanes(|i| am[i] / rl[i] * (sineo1[i] - aynl[i] - axnl[i] * temp[i]));
+    let cosu = lanes(|i| am[i] / rl[i] * (coseo1[i] - axnl[i] + aynl[i] * temp[i]));
+    let su = lanes(|i| sinu[i].atan2(cosu[i]));
+    let sin2u = lanes(|i| (cosu[i] + cosu[i]) * sinu[i]);
+    let cos2u = lanes(|i| 1.0 - 2.0 * sinu[i] * sinu[i]);
+    let temp = lanes(|i| 1.0 / pl[i]);
+    let temp1 = lanes(|i| 0.5 * J2 * temp[i]);
+    let temp2 = lanes(|i| temp1[i] * temp[i]);
+
+    // ---- Short-period periodics. ----
+    let mrt = lanes(|i| {
+        rl[i] * (1.0 - 1.5 * temp2[i] * betal[i] * s.con41) + 0.5 * temp1[i] * s.x1mth2 * cos2u[i]
+    });
+    let su = lanes(|i| su[i] - 0.25 * temp2[i] * s.x7thm1 * sin2u[i]);
+    let xnode = lanes(|i| nodep[i] + 1.5 * temp2[i] * s.cosio * sin2u[i]);
+    let xinc = lanes(|i| s.inclo + 1.5 * temp2[i] * s.cosio * s.sinio * cos2u[i]);
+    let mvt = lanes(|i| rdotl[i] - nm[i] * temp1[i] * s.x1mth2 * sin2u[i] / XKE);
+    let rvdot =
+        lanes(|i| rvdotl[i] + nm[i] * temp1[i] * (s.x1mth2 * cos2u[i] + 1.5 * s.con41) / XKE);
+
+    // ---- Orientation vectors and final state. ----
+    let sinsu = lanes(|i| su[i].sin());
+    let cossu = lanes(|i| su[i].cos());
+    let snod = lanes(|i| xnode[i].sin());
+    let cnod = lanes(|i| xnode[i].cos());
+    let sini = lanes(|i| xinc[i].sin());
+    let cosi = lanes(|i| xinc[i].cos());
+    let xmx = lanes(|i| -snod[i] * cosi[i]);
+    let xmy = lanes(|i| cnod[i] * cosi[i]);
+    let ux = lanes(|i| xmx[i] * sinsu[i] + cnod[i] * cossu[i]);
+    let uy = lanes(|i| xmy[i] * sinsu[i] + snod[i] * cossu[i]);
+    let uz = lanes(|i| sini[i] * sinsu[i]);
+    let vx = lanes(|i| xmx[i] * cossu[i] - cnod[i] * sinsu[i]);
+    let vy = lanes(|i| xmy[i] * cossu[i] - snod[i] * sinsu[i]);
+    let vz = lanes(|i| sini[i] * cossu[i]);
+
+    let vkmpersec = EARTH_RADIUS_KM * XKE / 60.0;
+    let scale = lanes(|i| mrt[i] * EARTH_RADIUS_KM);
+    TemeLanes {
+        position_km: [
+            lanes(|i| ux[i] * scale[i]),
+            lanes(|i| uy[i] * scale[i]),
+            lanes(|i| uz[i] * scale[i]),
+        ],
+        velocity_km_s: [
+            lanes(|i| (ux[i] * mvt[i] + vx[i] * rvdot[i]) * vkmpersec),
+            lanes(|i| (uy[i] * mvt[i] + vy[i] * rvdot[i]) * vkmpersec),
+            lanes(|i| (uz[i] * mvt[i] + vz[i] * rvdot[i]) * vkmpersec),
+        ],
+        // The scalar code's three failure exits.
+        ok: core::array::from_fn(|i| reached_kepler[i] && !(pl[i] < 0.0 || mrt[i] < 1.0)),
+    }
+}
+
+/// [`propagate_lanes_body`] compiled with AVX2 and FMA enabled: wider
+/// registers for the lane arithmetic and an inline `mul_add` in the
+/// angle wraps. `mul_add` rounds once with or without hardware FMA, and
+/// nothing else is contracted, so every lane's bits are unchanged.
+///
+/// # Safety
+///
+/// The CPU must support AVX2 and FMA.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn propagate_lanes_avx2(s: &Sgp4, t: &Lanes, kepler: &mut KeplerTally) -> TemeLanes {
+    propagate_lanes_body(s, t, kepler)
 }
 
 #[cfg(test)]
@@ -760,6 +1018,245 @@ mod tests {
         let s = sgp4.propagate(-120.0).unwrap();
         assert!(s.position_km.norm() > 6400.0);
         assert_eq!(s.tsince_min, -120.0);
+    }
+}
+
+#[cfg(test)]
+mod lane_tests {
+    use super::*;
+    use crate::tle::Tle;
+
+    type Body = fn(&Sgp4, &Lanes, &mut KeplerTally) -> TemeLanes;
+
+    /// Every lane-kernel body this CPU can run, called directly.
+    fn bodies() -> Vec<(&'static str, Body)> {
+        let mut bodies: Vec<(&'static str, Body)> = vec![("portable", propagate_lanes_body)];
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
+        {
+            // SAFETY: guarded by the runtime AVX2/FMA detection above.
+            bodies.push(("avx2", |s, t, k| unsafe { propagate_lanes_avx2(s, t, k) }));
+        }
+        bodies
+    }
+
+    /// Run `t` through every body and through scalar
+    /// `propagate_uncounted` lane by lane: Ok lanes must match bit for
+    /// bit, failed lanes must fail, and the Kepler tallies must agree.
+    /// Returns the scalar outcomes.
+    fn check(name: &str, sgp4: &Sgp4, t: &Lanes) -> Vec<Result<StateTeme, OrbitError>> {
+        let mut want_tally = KeplerTally::default();
+        let want: Vec<_> = t
+            .iter()
+            .map(|&t| sgp4.propagate_uncounted(t, &mut want_tally))
+            .collect();
+        for (body, run) in bodies() {
+            let mut tally = KeplerTally::default();
+            let got = run(sgp4, t, &mut tally);
+            assert_eq!(tally.0, want_tally.0, "{name}/{body}: Kepler tally");
+            for (i, want) in want.iter().enumerate() {
+                let Ok(state) = want else {
+                    assert!(!got.ok[i], "{name}/{body}: lane {i} should fail");
+                    continue;
+                };
+                assert!(got.ok[i], "{name}/{body}: lane {i} should succeed");
+                let lane = |v: &[Lanes; 3]| [v[0][i], v[1][i], v[2][i]].map(f64::to_bits);
+                let bits = |v: Vec3| [v.x, v.y, v.z].map(f64::to_bits);
+                assert_eq!(
+                    (lane(&got.position_km), lane(&got.velocity_km_s)),
+                    (bits(state.position_km), bits(state.velocity_km_s)),
+                    "{name}/{body}: lane {i} at t = {}",
+                    t[i]
+                );
+            }
+        }
+        want
+    }
+
+    fn circular(alt_km: f64, ecco: f64, bstar: f64) -> Sgp4 {
+        let a = EARTH_RADIUS_KM + alt_km;
+        let n = (MU_KM3_S2 / (a * a * a)).sqrt() * 60.0;
+        let epoch = JulianDate::from_calendar(2025, 3, 1, 0, 0, 0.0);
+        Sgp4::from_elements(n, ecco, 0.9, 0.3, 0.2, 0.1, bstar, epoch).unwrap()
+    }
+
+    /// Eight consecutive offsets from `t0`, `dt` apart.
+    fn run(t0: f64, dt: f64) -> Lanes {
+        core::array::from_fn(|i| t0 + i as f64 * dt)
+    }
+
+    #[test]
+    fn drag_and_isimp_lanes_equal_scalar_bit_for_bit() {
+        // Perigee above 220 km: the full drag polynomials.
+        let drag = circular(550.0, 0.01, 2e-4);
+        // The Spacetrack #3 orbit (perigee ≈ 200 km) and a circular one
+        // at 180 km take the simplified-drag (`isimp`) branch.
+        let classic = Sgp4::new(
+            &Tle::parse_lines(
+                "1 88888U          80275.98708465  .00073094  13844-3  66816-4 0    87",
+                "2 88888  72.8435 115.9689 0086731  52.6988 110.5714 16.05824518  1058",
+            )
+            .unwrap(),
+        )
+        .unwrap();
+        let simple = circular(180.0, 0.0001, 1e-4);
+        assert!(!drag.isimp && classic.isimp && simple.isimp);
+        for (name, sgp4) in [("drag", &drag), ("classic", &classic), ("isimp", &simple)] {
+            for t0 in [-1_440.0, -0.5, 0.0, 97.3, 1_440.0, 10_080.0] {
+                for dt in [0.25, 1.0, 7.0] {
+                    let outcomes = check(name, sgp4, &run(t0, dt));
+                    assert!(outcomes.iter().all(Result::is_ok), "{name} at {t0}");
+                }
+            }
+            check(
+                name,
+                sgp4,
+                &[0.0, -0.0, 1e-300, -1e-300, 1.0, -1.0, 45.0, -45.0],
+            );
+        }
+    }
+
+    #[test]
+    fn failed_lanes_mix_with_ok_lanes_and_stay_out_of_the_tally() {
+        use OrbitError::{Decayed, EccentricityOutOfRange};
+        // Heavy drag: fine at first, then alternately decayed and out of
+        // eccentricity range (see the scalar outcomes below).
+        let decaying = circular(300.0, 0.001, 0.05);
+        let kind = |r: &Result<StateTeme, OrbitError>| match r {
+            Ok(_) => 0,
+            Err(Decayed { .. }) => 1,
+            Err(EccentricityOutOfRange { .. }) => 2,
+            Err(e) => panic!("unexpected {e:?}"),
+        };
+        let mut seen = [[false; 3]; 3];
+        let mut t0 = 0.0;
+        while t0 < 3_200.0 {
+            let outcomes = check("decaying", &decaying, &run(t0, 1.0));
+            let mut in_batch = [false; 3];
+            for r in &outcomes {
+                in_batch[kind(r)] = true;
+            }
+            for a in 0..3 {
+                for b in 0..3 {
+                    seen[a][b] |= in_batch[a] && in_batch[b];
+                }
+            }
+            t0 += 8.0;
+        }
+        assert!(seen[0][1], "no batch mixed Ok and Decayed lanes");
+        assert!(seen[1][2], "no batch mixed Decayed and out-of-range lanes");
+        // One batch with all three outcomes: out-of-range lanes must not
+        // count toward the tally while the others do (`check` compares
+        // the tallies).
+        let mixed = [0.0, 2_796.0, 10.0, 2_824.0, 2_797.0, 20.0, 2_825.0, 30.0];
+        let outcomes = check("mixed", &decaying, &mixed);
+        assert_eq!(
+            outcomes.iter().map(kind).collect::<Vec<_>>(),
+            [0, 2, 0, 1, 2, 0, 1, 0]
+        );
+        let mut tally = KeplerTally::default();
+        propagate_lanes_body(&decaying, &mixed, &mut tally);
+        assert_eq!(tally.0.iter().sum::<u64>(), 6);
+    }
+
+    #[test]
+    fn angles_beyond_the_fast_wrap_range_take_the_fallback_bit_for_bit() {
+        // Drag-free, so propagation stays valid at any offset; from
+        // ~1e14 minutes on, the mean anomaly passes 2⁴⁰·τ.
+        let sgp4 = circular(550.0, 0.001, 0.0);
+        let huge = crate::REM_TAU_FAST_LIMIT / sgp4.mdot;
+        let t = [
+            0.0,
+            huge * 0.999_999,
+            huge,
+            huge * 1.000_001,
+            -huge * 2.0,
+            huge * 1e3,
+            3.0,
+            -huge,
+        ];
+        assert!(t
+            .iter()
+            .any(|t| (sgp4.mo + sgp4.mdot * t).abs() >= crate::REM_TAU_FAST_LIMIT));
+        let outcomes = check("huge", &sgp4, &t);
+        assert!(outcomes.iter().all(Result::is_ok));
+    }
+
+    #[test]
+    fn lane_angle_wraps_equal_fmod_bit_for_bit() {
+        /// # Safety
+        ///
+        /// The CPU must support AVX2 and FMA.
+        #[cfg(target_arch = "x86_64")]
+        #[target_feature(enable = "avx2,fma")]
+        unsafe fn rem_tau_lanes_avx2(x: &Lanes) -> Lanes {
+            rem_tau_lanes(x)
+        }
+        type Wrap = fn(&Lanes) -> Lanes;
+        let mut wraps: Vec<(&str, Wrap)> = vec![("portable", |x| rem_tau_lanes(x))];
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
+        {
+            // SAFETY: guarded by the runtime AVX2/FMA detection above.
+            wraps.push(("avx2", |x| unsafe { rem_tau_lanes_avx2(x) }));
+        }
+        let limit = crate::REM_TAU_FAST_LIMIT;
+        let mut xs = vec![
+            0.0,
+            f64::from_bits(1),
+            f64::MIN_POSITIVE,
+            1.0,
+            TAU,
+            f64::NAN,
+            f64::INFINITY,
+            f64::MAX,
+            1e300,
+            limit,
+            limit * (1.0 - f64::EPSILON),
+            limit * 1.5,
+        ];
+        // Near k·τ the quotient rounds up across an integer, so the
+        // correction fires.
+        for k in 0..100_000_u64 {
+            let bits = (k as f64 * TAU).to_bits();
+            xs.extend((-2..=2).map(|d| f64::from_bits(bits.saturating_add_signed(d))));
+        }
+        let xs: Vec<f64> = xs.iter().flat_map(|&x| [x, -x]).collect();
+        for chunk in xs.chunks(LANES) {
+            let mut x = [0.0; LANES];
+            x[..chunk.len()].copy_from_slice(chunk);
+            for (body, wrap) in &wraps {
+                let got = wrap(&x);
+                for (g, x) in got.iter().zip(x) {
+                    assert_eq!(g.to_bits(), (x % TAU).to_bits(), "{body}: x = {x:e}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn histogram_totals_equal_per_sample_records() {
+        // A batch recorded once adds to each Kepler-iteration bucket
+        // what one record per sample would.
+        let sgp4 = circular(550.0, 0.01, 1e-4);
+        let mut batch = KeplerTally::default();
+        let mut single = KeplerTally::default();
+        let mut samples = 0;
+        for k in 0..64 {
+            let t = run(k as f64 * 13.0, 1.5);
+            sgp4.propagate_lanes(&t, &mut batch);
+            for &t in &t {
+                let mut one = KeplerTally::default();
+                sgp4.propagate_uncounted(t, &mut one).unwrap();
+                assert_eq!(one.0.iter().sum::<u64>(), 1);
+                for (s, o) in single.0.iter_mut().zip(one.0) {
+                    *s += o;
+                }
+                samples += 1;
+            }
+        }
+        assert_eq!(batch.0, single.0);
+        assert_eq!(batch.0.iter().sum::<u64>(), samples);
     }
 }
 

@@ -320,3 +320,59 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    /// Every sample of an ephemeris grid is direct SGP4 plus
+    /// `teme_to_ecef` bit for bit, through the lane kernel this CPU
+    /// dispatches to. Element sets take either drag branch (`isimp`
+    /// below a 220 km perigee) and some decay inside the window, so
+    /// lane batches mix Ok and failed samples (which must be NaN);
+    /// windows start up to 10¹² days from epoch, where drag-free angle
+    /// wraps leave `rem_tau`'s fast range; and window lengths take
+    /// every residue modulo the lane count.
+    #[test]
+    fn grid_samples_equal_direct_propagation_bit_for_bit(
+        alt in 150.0_f64..1_000.0,
+        ecc in 0.0_f64..0.05,
+        incl in 0.0_f64..3.1,
+        angles in 0.0_f64..6.2,
+        drag in any::<bool>(),
+        bstar in 0.0_f64..0.05,
+        log_offset_days in -1.0_f64..12.0,
+        backwards in any::<bool>(),
+        minutes in 1_u32..200,
+    ) {
+        use satiot_orbit::ephemeris::EphemerisGrid;
+        use satiot_orbit::frames::teme_to_ecef;
+        use satiot_orbit::sgp4::Sgp4;
+        let a = EARTH_RADIUS_KM + alt;
+        let n = (MU_KM3_S2 / (a * a * a)).sqrt() * 60.0;
+        let bstar = if drag { bstar } else { 0.0 };
+        let sgp4 = Sgp4::from_elements(n, ecc, incl, angles, angles * 0.7, angles * 0.3, bstar, epoch())
+            .unwrap();
+        let offset = 10_f64.powf(log_offset_days) * if backwards { -1.0 } else { 1.0 };
+        let start = epoch() + offset;
+        let grid = EphemerisGrid::build(&sgp4, start, start.plus_minutes(f64::from(minutes)));
+        prop_assert!(!grid.is_empty());
+        for (k, sample) in grid.samples().iter().enumerate() {
+            let t = grid.sample_time(k);
+            let got = [sample.position_km, sample.velocity_km_s];
+            match sgp4.propagate_at(t) {
+                Ok(state) => {
+                    let direct = teme_to_ecef(&state, t);
+                    for (g, w) in got.iter().zip([direct.position_km, direct.velocity_km_s]) {
+                        prop_assert_eq!(
+                            [g.x.to_bits(), g.y.to_bits(), g.z.to_bits()],
+                            [w.x.to_bits(), w.y.to_bits(), w.z.to_bits()],
+                            "sample {} at {:?}", k, t
+                        );
+                    }
+                }
+                Err(_) => prop_assert!(
+                    got.iter().all(|v| v.x.is_nan() && v.y.is_nan() && v.z.is_nan()),
+                    "failed sample {} is not NaN", k
+                ),
+            }
+        }
+    }
+}
