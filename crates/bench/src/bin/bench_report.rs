@@ -22,12 +22,13 @@
 //! optimisation regresses. `--smoke` runs a smaller catalog for CI.
 //!
 //! A second matrix measures the **simulate** phase: a warm-cache passive
-//! sweep (pass lists precomputed, so wall time is the per-beacon channel
-//! work) under the legacy scalar pipeline (`SATIOT_BATCH=0` +
-//! `SATIOT_EPHEMERIS=0`, the pre-batching code path) versus the SoA
-//! batch kernels over ephemeris grids. Writes `BENCH_simulate.json` and
-//! asserts the batched path is at least 2× faster (1.5× under
-//! `--smoke`, where the sweep is too short to amortise).
+//! sweep (pass lists precomputed, so wall time is the per-beacon
+//! geometry and channel work) with the simulate-phase geometry sampled
+//! by direct SGP4 (`direct`, ephemeris off) versus interpolated from
+//! ephemeris grids (`grid`, ephemeris on), both through the batched
+//! channel kernels. Writes `BENCH_simulate.json` and asserts the grid
+//! cell is at least 2× faster (1.5× under `--smoke`, where the sweep is
+//! too short to amortise).
 //!
 //! A third matrix measures the **coarse-scan** phase in isolation: the
 //! [`VisibilitySweep`] horizon-margin kernel over every satellite's
@@ -59,13 +60,13 @@
 use satiot_core::prelude::*;
 use satiot_core::{calib, sweep};
 use satiot_orbit::cull;
-use satiot_orbit::ephemeris::{self, EphemerisGrid, EphemerisMode};
+use satiot_orbit::ephemeris::{EphemerisGrid, EphemerisMode};
 use satiot_orbit::frames::Geodetic;
 use satiot_orbit::pass::Pass;
 use satiot_orbit::sgp4;
 use satiot_orbit::time::JulianDate;
 use satiot_orbit::topo::Observer;
-use satiot_orbit::visibility::{self, SweepOutcome, VisibilitySweep};
+use satiot_orbit::visibility::{SweepOutcome, VisibilitySweep};
 use satiot_scenarios::constellations::{fossa, tianqi, SatelliteDef};
 use satiot_scenarios::sites::{tianqi_ground_stations, yunnan_farm};
 use satiot_scenarios::walker::WalkerShell;
@@ -84,10 +85,11 @@ struct Cell {
     passes: usize,
 }
 
-/// Run the predict workload once: every (observer, satellite) pair
-/// through the shared pass cache on the sweep pool, mirroring the
-/// campaign predict phases.
+/// Run the predict workload once under `opts`' prediction modes: every
+/// (observer, satellite) pair through the shared pass cache on the
+/// sweep pool, mirroring the campaign predict phases.
 fn predict_all(
+    opts: &RunOptions,
     observers: &[(&'static str, Geodetic)],
     sats: &[(SatelliteDef, satiot_orbit::sgp4::Sgp4)],
     start: JulianDate,
@@ -103,14 +105,14 @@ fn predict_all(
         sweep::passes_for(
             sweep::PassKey::new(name, sat.constellation, sat.sat_id, start, end, mask_rad),
             || {
-                sweep::sat_predictor(
-                    sat.constellation,
-                    sat.sat_id,
+                sweep::predictor_with_mode(
+                    opts.ephemeris,
+                    opts.visibility,
+                    opts.culling,
+                    sweep::GridKey::new(sat.constellation, sat.sat_id, start, end),
                     sgp4,
                     site,
                     mask_rad,
-                    start,
-                    end,
                 )
             },
         )
@@ -119,24 +121,19 @@ fn predict_all(
 
 fn measure(
     backend: &'static str,
-    mode: EphemerisMode,
+    opts: &RunOptions,
     observers: &[(&'static str, Geodetic)],
     sats: &[(SatelliteDef, satiot_orbit::sgp4::Sgp4)],
     start: JulianDate,
     end: JulianDate,
     mask_rad: f64,
 ) -> (Cell, Cell) {
-    ephemeris::set_mode(mode);
-    // Pin the legacy coarse scan for both backends: the visibility sweep
-    // legitimately finds short passes the adaptive scan can step over,
-    // which would break this matrix's pass-count-equality check.
-    visibility::set_mode(VisibilityMode::Off);
     sweep::clear();
     let mut cells = Vec::with_capacity(2);
     for phase in ["cold", "warm"] {
         sgp4::reset_propagations();
         let t0 = Instant::now();
-        let lists = predict_all(observers, sats, start, end, mask_rad);
+        let lists = predict_all(opts, observers, sats, start, end, mask_rad);
         let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
         let propagations = sgp4::propagations();
         let passes: usize = lists.iter().map(|l| l.len()).sum();
@@ -172,7 +169,6 @@ struct SimCell {
 fn simulate_config(smoke: bool) -> PassiveConfig {
     // Smoke keeps three sites over two days — long enough that the
     // measured walls dwarf scheduler jitter on a loaded CI runner.
-    #[allow(deprecated)] // report harness tweaks the literal config directly
     let mut cfg = PassiveConfig::quick(if smoke { 2.0 } else { 3.0 });
     if smoke {
         cfg.sites.retain(|s| matches!(s.code, "HK" | "GZ" | "SH"));
@@ -280,9 +276,13 @@ fn main() {
     );
 
     let (start, end) = (epoch, epoch + days);
+    // Pin the legacy coarse scan for both backends: the visibility sweep
+    // legitimately finds short passes the adaptive scan can step over,
+    // which would break this matrix's pass-count-equality check.
+    let predict_opts = opts.with_visibility(VisibilityMode::Off);
     let (d_cold, d_warm) = measure(
         "direct",
-        EphemerisMode::Off,
+        &predict_opts.with_ephemeris(EphemerisMode::Off),
         &observers,
         &sats,
         start,
@@ -291,17 +291,13 @@ fn main() {
     );
     let (e_cold, e_warm) = measure(
         "ephemeris",
-        EphemerisMode::On,
+        &predict_opts.with_ephemeris(EphemerisMode::On),
         &observers,
         &sats,
         start,
         end,
         mask_rad,
     );
-    // Leave the process-wide latches the way the environment asked.
-    ephemeris::set_mode(opts.ephemeris);
-    visibility::set_mode(opts.visibility);
-
     assert_eq!(
         d_cold.passes, e_cold.passes,
         "backends disagree on total pass count"
@@ -666,44 +662,16 @@ fn main() {
          on the warm mega-scale matrix (got {cull_speedup:.2}×)"
     );
 
-    // --- Simulate matrix: legacy scalar pipeline vs SoA batch kernels. ---
+    // --- Simulate matrix: direct-SGP4 vs grid-interpolated geometry. ---
     println!(
         "\nsimulate matrix ({} passive sweep, warm pass cache):",
         if smoke { "smoke" } else { "full" }
     );
-    let legacy = measure_simulate(
-        "legacy",
-        &opts
-            .with_batch(BatchMode::Off)
-            .with_ephemeris(EphemerisMode::Off),
-        smoke,
-    );
-    // The two mixed cells attribute the win between the ephemeris-grid
-    // geometry sampling and the SoA channel kernels.
-    let grid_only = measure_simulate(
-        "grid-only",
-        &opts
-            .with_batch(BatchMode::Off)
-            .with_ephemeris(EphemerisMode::On),
-        smoke,
-    );
-    let batch_only = measure_simulate(
-        "batch-only",
-        &opts
-            .with_batch(BatchMode::On)
-            .with_ephemeris(EphemerisMode::Off),
-        smoke,
-    );
-    let batched = measure_simulate(
-        "batched",
-        &opts
-            .with_batch(BatchMode::On)
-            .with_ephemeris(EphemerisMode::On),
-        smoke,
-    );
+    let direct = measure_simulate("direct", &opts.with_ephemeris(EphemerisMode::Off), smoke);
+    let grid = measure_simulate("grid", &opts.with_ephemeris(EphemerisMode::On), smoke);
     sweep::clear();
-    let sim_speedup = legacy.wall_ms / batched.wall_ms.max(1e-9);
-    println!("simulate wall speedup (legacy/batched): {sim_speedup:.2}×");
+    let sim_speedup = direct.wall_ms / grid.wall_ms.max(1e-9);
+    println!("simulate wall speedup (direct/grid): {sim_speedup:.2}×");
 
     let sim_cfg = simulate_config(smoke);
     let mut json = String::new();
@@ -719,7 +687,7 @@ fn main() {
     let _ = writeln!(json, "    \"smoke\": {smoke}");
     let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"cells\": [");
-    let cells = [&legacy, &grid_only, &batch_only, &batched];
+    let cells = [&direct, &grid];
     for (i, c) in cells.iter().enumerate() {
         let _ = writeln!(
             json,
@@ -741,8 +709,8 @@ fn main() {
     let floor = if smoke { 1.5 } else { 2.0 };
     assert!(
         sim_speedup >= floor,
-        "batched simulate must be at least {floor}× faster than the legacy \
-         scalar pipeline on the warm passive sweep (got {sim_speedup:.2}×)"
+        "grid-backed simulate must be at least {floor}× faster than direct SGP4 \
+         on the warm passive sweep (got {sim_speedup:.2}×)"
     );
 
     // --- Sweep matrix: sequential cold batches vs the warm sweep server. ---

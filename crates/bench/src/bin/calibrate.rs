@@ -22,7 +22,6 @@ fn main() {
         .into_iter()
         .filter(|s| s.code == "HK")
         .collect::<Vec<_>>();
-    #[allow(deprecated)] // calibration tweaks the literal config directly
     let mut pcfg = PassiveConfig::quick(days);
     pcfg.sites = hk.clone();
     let passive = PassiveCampaign::new(pcfg).run(&opts).unwrap();
@@ -65,7 +64,7 @@ fn main() {
         mid * 100.0
     );
     // Tianqi daily theoretical hours (paper 18.5 h at 22 sats).
-    let th = theoretical_daily_hours(&tianqi(), &hk[0], days.min(5.0) as u32);
+    let th = theoretical_daily_hours(&tianqi(), &hk[0], days.min(5.0) as u32, &opts);
     println!(
         "Tianqi theoretical h/day: {:.1} (paper 18.5)",
         th.iter().sum::<f64>() / th.len() as f64

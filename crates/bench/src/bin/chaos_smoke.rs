@@ -73,7 +73,6 @@ fn main() {
     // path must degrade (counted in the fault log, sketches intact),
     // never panic the campaign.
     {
-        #[allow(deprecated)] // chaos runs feed deliberately hostile literal configs
         let mut cfg = PassiveConfig::quick(0.5);
         cfg.constellations = vec![tianqi()];
         cfg.sites.truncate(2);
@@ -173,7 +172,6 @@ fn main() {
 /// Family 0: a perturbed passive campaign must run (or be rejected)
 /// identically under the serial and pooled drivers.
 fn passive_scenario(plan: &mut ChaosPlan, opts: &RunOptions) -> Verdict {
-    #[allow(deprecated)] // chaos runs feed deliberately hostile literal configs
     let mut cfg = PassiveConfig::quick(0.5);
     cfg.seed = plan.derived_seed();
     cfg.constellations = vec![tianqi()];

@@ -1,26 +1,31 @@
-//! CI determinism smoke: a quick multi-site passive campaign run four
-//! ways — serial, on the sweep pool, with the legacy per-site-thread
-//! driver, and under both simulate kernels (SoA batched vs scalar) —
-//! must produce bit-identical traces and pass records, and the
-//! pass-prediction cache must have computed each list exactly once.
-//! A further section pins the bounded-memory sink: the aggregating mode
-//! retains zero traces (obs-counter-audited) yet sketches identically
-//! across drivers, with quantiles inside the documented error band.
-//! The final section pins the visibility-sweep kernels: the chunked
-//! (auto-vectorised) horizon-margin sweep must yield bit-identical
-//! campaigns to its scalar twin under the pooled, serial, *and* legacy
-//! site-thread drivers (the pass cache is cleared between modes — it
-//! does not key on the visibility knob). A cull section then proves the
-//! spatial pre-cull stage is lossless: the culled run's pass set is
-//! bit-identical to the unculled run's across drivers, with the
-//! `orbit.cull.*` proof counters balancing exactly.
+//! CI determinism smoke: one in-process run that pins every
+//! bit-identity contract of the passive campaign, each mode selected by
+//! an explicit `RunOptions` (the environment is not read). Every check
+//! below runs under each ephemeris backend (grids, direct SGP4) crossed
+//! with each visibility scan (chunked, scalar, legacy adaptive) and each
+//! culling mode (on, off):
 //!
-//! The environment picks the baseline options (CI invokes this binary
-//! once with `SATIOT_BATCH=0` and once with `SATIOT_BATCH=1`), but the
-//! explicit batched-vs-scalar comparison below runs regardless, so even
-//! a single invocation pins the kernel equivalence.
+//! * **Drivers.** A quick multi-site campaign run twice on the sweep
+//!   pool and once serially must produce bit-identical traces and pass
+//!   records, with every pass list and ephemeris grid computed exactly
+//!   once.
+//! * **Visibility kernels.** The chunked (auto-vectorised)
+//!   horizon-margin sweep must yield campaigns bit-identical to its
+//!   scalar twin, with culling on and off.
+//! * **Spatial pre-cull.** The culled campaign must be bit-identical to
+//!   the unculled one under every visibility scan, with the
+//!   `orbit.cull.*` proof counters balancing exactly when the stage is
+//!   on and not moving when it is off.
+//! * **Bounded-memory sink.** The aggregating mode retains zero traces
+//!   (obs-counter-audited) yet sketches identically across drivers, with
+//!   quantiles inside the documented error band.
+//! * **Scenario file.** The committed `tianqi_hk.scenario.json` loads
+//!   back to the compiled-in scenario and drives an identical campaign
+//!   under both drivers.
 //!
-//! Exits non-zero (panics) on any divergence, so the CI step is just
+//! The pass cache does not key on the prediction modes, so it is
+//! cleared before each mode. Exits non-zero (panics) on any divergence,
+//! so the CI step is just
 //! `cargo run --release -p satiot-bench --bin determinism_smoke`.
 
 use satiot_core::prelude::*;
@@ -74,42 +79,24 @@ fn assert_identical(label: &str, a: &PassiveResults, b: &PassiveResults) {
     );
 }
 
-fn main() {
-    let opts = RunOptions::from_env().apply();
-    println!(
-        "determinism smoke: batch={:?} ephemeris={:?} visibility={:?}",
-        opts.batch, opts.ephemeris, opts.visibility
-    );
+/// Run the smoke campaign pooled twice and serially under `opts`, from
+/// a cleared cache and zeroed cull counters. All three runs must agree
+/// bit for bit, every pass list and grid must have been computed
+/// exactly once, and the cull proof counters must balance exactly
+/// (considered == culled + kept) when the stage is on and not move at
+/// all when it is off. Returns the first pooled run.
+fn pool_pool_serial(label: &str, opts: &RunOptions) -> PassiveResults {
     sweep::clear();
-    let pooled_a = PassiveCampaign::new(config(true)).run(&opts).unwrap();
-    let pooled_b = PassiveCampaign::new(config(true)).run(&opts).unwrap();
-    let serial = PassiveCampaign::new(config(false)).run(&opts).unwrap();
-    #[allow(deprecated)] // Pins the legacy driver against the pool.
-    let legacy = PassiveCampaign::new(config(true))
-        .run_with_site_threads()
-        .unwrap();
-
-    assert_identical("pool vs pool", &pooled_a, &pooled_b);
-    assert_identical("pool vs serial", &pooled_a, &serial);
-    assert_identical("pool vs site-threads", &pooled_a, &legacy);
-
-    // The SoA gather/scatter path must be a pure re-grouping of the
-    // scalar arithmetic — same floating-point op order per element, same
-    // RNG draw sequence — so the two kernels are compared bit-for-bit
-    // here under the same ephemeris backend, whatever `SATIOT_BATCH`
-    // selected as the baseline above.
-    let batched = PassiveCampaign::new(config(true))
-        .run(&opts.with_batch(BatchMode::On))
-        .unwrap();
-    let scalar = PassiveCampaign::new(config(true))
-        .run(&opts.with_batch(BatchMode::Off))
-        .unwrap();
-    assert_identical("batched vs scalar", &batched, &scalar);
-    assert_identical("batched vs baseline", &batched, &pooled_a);
+    cull::reset_stats();
+    let pooled_a = PassiveCampaign::new(config(true)).run(opts).unwrap();
+    let pooled_b = PassiveCampaign::new(config(true)).run(opts).unwrap();
+    let serial = PassiveCampaign::new(config(false)).run(opts).unwrap();
+    assert_identical(&format!("{label}: pool vs pool"), &pooled_a, &pooled_b);
+    assert_identical(&format!("{label}: pool vs serial"), &pooled_a, &serial);
 
     let cache = sweep::stats();
     println!(
-        "pass cache: {} lookups, {} computed, {} served from cache ({} entries)",
+        "{label}: pass cache {} lookups, {} computed, {} served from cache ({} entries)",
         cache.lookups,
         cache.computes,
         cache.hits(),
@@ -117,23 +104,73 @@ fn main() {
     );
     assert_eq!(
         cache.computes, cache.entries as u64,
-        "a pass list was predicted more than once"
+        "{label}: a pass list was predicted more than once"
     );
     assert!(
         cache.hits() > 0,
-        "repeat runs never hit the cache — keying is broken"
+        "{label}: repeat runs never hit the cache — keying is broken"
     );
+    let grids = sweep::grid_stats();
+    println!(
+        "{label}: ephemeris grids {} lookups, {} built, {} served shared ({} entries)",
+        grids.lookups,
+        grids.computes,
+        grids.hits(),
+        grids.entries
+    );
+    assert_eq!(
+        grids.computes, grids.entries as u64,
+        "{label}: an ephemeris grid was sampled more than once"
+    );
+    if opts.ephemeris != EphemerisMode::Off {
+        // HK and GZ start the same campaign day, so their satellites
+        // share (satellite, window) grids across sites.
+        assert!(
+            grids.hits() > 0,
+            "{label}: no grid was ever shared across observers — keying is broken"
+        );
+    }
+    let stats = cull::stats();
+    println!(
+        "{label}: cull {} considered, {} culled, {} kept",
+        stats.pairs_considered,
+        stats.pairs_culled(),
+        stats.pairs_kept
+    );
+    match opts.culling {
+        CullingMode::Off => assert_eq!(
+            (
+                stats.pairs_considered,
+                stats.pairs_culled(),
+                stats.pairs_kept
+            ),
+            (0, 0, 0),
+            "{label}: culling off must not touch the proof counters"
+        ),
+        CullingMode::On => {
+            assert!(
+                stats.pairs_considered > 0,
+                "{label}: cull stage never consulted"
+            );
+            assert_eq!(
+                stats.pairs_considered,
+                stats.pairs_culled() + stats.pairs_kept,
+                "{label}: cull proof counters do not balance"
+            );
+        }
+    }
+    pooled_a
+}
 
-    // Bounded-memory mode: the aggregating sink must not perturb the
-    // simulation, must retain nothing (obs-counter-audited), and must
-    // sketch identically across the serial and pooled drivers — the
-    // sketch merge happens per site in configuration order, exactly
-    // like the trace merge it replaces.
-    let full = PassiveCampaign::new(config(true))
-        .run(&opts.with_sink(SinkMode::Full))
-        .unwrap();
-    // Audit the bounded runs from a clean counter slate (the full run
-    // above legitimately retained everything).
+/// Bounded-memory mode: the aggregating sink must not perturb the
+/// simulation, must retain nothing (obs-counter-audited), and must
+/// sketch identically across the serial and pooled drivers — the sketch
+/// merge happens per site in configuration order, exactly like the
+/// trace merge it replaces. `full` is the pooled full-sink run under
+/// the same `opts`.
+fn sink_section(label: &str, opts: &RunOptions, full: &PassiveResults) {
+    // Audit the bounded runs from a clean counter slate (the full runs
+    // legitimately retained everything).
     metrics::set_enabled(true);
     metrics::reset();
     let agg_opts = opts.with_sink(SinkMode::Aggregate);
@@ -141,26 +178,30 @@ fn main() {
     let agg_serial = PassiveCampaign::new(config(false)).run(&agg_opts).unwrap();
     assert!(
         agg_pooled.traces.traces.is_empty(),
-        "aggregate sink retained traces"
+        "{label}: aggregate sink retained traces"
     );
-    assert_eq!(agg_pooled.sink.retained, 0, "SinkStats counted retention");
+    assert_eq!(
+        agg_pooled.sink.retained, 0,
+        "{label}: SinkStats counted retention"
+    );
     assert_eq!(
         SINK_RETAINED.value(),
         0,
-        "obs counter says the bounded mode retained traces"
+        "{label}: obs counter says the bounded mode retained traces"
     );
+    metrics::set_enabled(false);
     assert_eq!(
         agg_pooled.sink.emitted,
         full.traces.len() as u64,
-        "aggregate run emitted a different trace count than the full run"
+        "{label}: aggregate run emitted a different trace count than the full run"
     );
     assert_eq!(
         agg_pooled.sketch, agg_serial.sketch,
-        "serial and pooled aggregate sketches diverged"
+        "{label}: serial and pooled aggregate sketches diverged"
     );
     assert_eq!(
         agg_pooled.sketch, full.sketch,
-        "aggregate sketch diverged from the full run's own sketch"
+        "{label}: aggregate sketch diverged from the full run's own sketch"
     );
     assert_eq!(agg_pooled.passes.len(), full.passes.len());
 
@@ -182,142 +223,66 @@ fn main() {
         let truth = nearest_rank_sorted(&exact, p);
         assert!(
             (est - truth).abs() <= band,
-            "{}: p{p} sketch {est} vs exact {truth} exceeds band {band}",
+            "{label}: {}: p{p} sketch {est} vs exact {truth} exceeds band {band}",
             g.constellation
         );
     }
     println!(
-        "aggregate sink: 0 retained, {} emitted, sketches identical across drivers",
+        "{label}: aggregate sink 0 retained, {} emitted, sketches identical across drivers",
         agg_pooled.sink.emitted
     );
+}
 
-    let grids = sweep::grid_stats();
-    println!(
-        "ephemeris grids: {} lookups, {} built, {} served shared ({} entries)",
-        grids.lookups,
-        grids.computes,
-        grids.hits(),
-        grids.entries
+/// The campaign the committed `tianqi_hk.scenario.json` configures must
+/// be bit-identical to the compiled-in one under both the pooled and
+/// serial drivers.
+fn scenario_section(
+    label: &str,
+    opts: &RunOptions,
+    loaded: &ResolvedScenario,
+    builtin: &ResolvedScenario,
+) {
+    let from_file_pooled = PassiveCampaign::new(PassiveConfig::from_scenario(loaded))
+        .run(opts)
+        .unwrap();
+    let from_file_serial = {
+        let mut cfg = PassiveConfig::from_scenario(loaded);
+        cfg.parallel = false;
+        PassiveCampaign::new(cfg).run(opts).unwrap()
+    };
+    let from_builtin = PassiveCampaign::new(PassiveConfig::from_scenario(builtin))
+        .run(opts)
+        .unwrap();
+    assert_identical(
+        &format!("{label}: scenario file vs builtin"),
+        &from_file_pooled,
+        &from_builtin,
     );
-    assert_eq!(
-        grids.computes, grids.entries as u64,
-        "an ephemeris grid was sampled more than once"
+    assert_identical(
+        &format!("{label}: scenario file pool vs serial"),
+        &from_file_pooled,
+        &from_file_serial,
     );
-    if opts.ephemeris != EphemerisMode::Off {
-        // HK and GZ start the same campaign day, so their satellites
-        // share (satellite, window) grids across sites.
-        assert!(
-            grids.hits() > 0,
-            "no grid was ever shared across observers — keying is broken"
-        );
-    }
+}
 
-    // Visibility-sweep kernel equivalence: the chunked (auto-vectorised)
-    // horizon-margin sweep and its scalar twin evaluate the same inlined
-    // margin arithmetic per lane, so whole campaigns must match
-    // bit-for-bit under every driver. The pass cache does not key on the
-    // visibility mode, so each mode starts from a cleared cache; the
-    // legacy site-thread driver resolves the global latch, which
-    // `apply()` pins before each batch.
-    let mut per_mode: Vec<PassiveResults> = Vec::new();
-    for mode in [VisibilityMode::Scalar, VisibilityMode::On] {
-        sweep::clear();
-        let mode_opts = opts.with_visibility(mode).apply();
-        let pooled = PassiveCampaign::new(config(true)).run(&mode_opts).unwrap();
-        let serial = PassiveCampaign::new(config(false)).run(&mode_opts).unwrap();
-        assert_identical(
-            &format!("visibility {mode:?}: pool vs serial"),
-            &pooled,
-            &serial,
-        );
-        if opts.visibility == mode {
-            // The legacy driver resolves its options from the
-            // environment, so it can only be pinned for the mode the
-            // environment actually selected (CI covers the others by
-            // re-running this binary under each `SATIOT_VISIBILITY`).
-            #[allow(deprecated)] // Pins the legacy driver's kernel too.
-            let legacy = PassiveCampaign::new(config(true))
-                .run_with_site_threads()
-                .unwrap();
-            assert_identical(
-                &format!("visibility {mode:?}: pool vs site-threads"),
-                &pooled,
-                &legacy,
-            );
-        }
-        per_mode.push(pooled);
-    }
-    assert_identical("visibility scalar vs vector", &per_mode[0], &per_mode[1]);
+/// Every (visibility, culling) pair, run under each ephemeris backend.
+const MODES: [(VisibilityMode, CullingMode); 6] = [
+    (VisibilityMode::On, CullingMode::On),
+    (VisibilityMode::Scalar, CullingMode::On),
+    (VisibilityMode::Off, CullingMode::On),
+    (VisibilityMode::On, CullingMode::Off),
+    (VisibilityMode::Scalar, CullingMode::Off),
+    (VisibilityMode::Off, CullingMode::Off),
+];
 
-    // Spatial pre-cull equivalence: culling only ever drops (site, sat)
-    // pairs that geometry proves can never clear the horizon, so the
-    // culled campaign's pass set must be bit-identical to the unculled
-    // one under every driver. The proof counters must balance exactly
-    // (considered == culled + kept) when the stage is on, and must not
-    // move at all when it is off.
-    let mut per_cull: Vec<PassiveResults> = Vec::new();
-    for culling in [CullingMode::Off, CullingMode::On] {
-        sweep::clear();
-        cull::reset_stats();
-        let mode_opts = opts.with_culling(culling).apply();
-        let pooled = PassiveCampaign::new(config(true)).run(&mode_opts).unwrap();
-        let serial = PassiveCampaign::new(config(false)).run(&mode_opts).unwrap();
-        assert_identical(
-            &format!("culling {culling:?}: pool vs serial"),
-            &pooled,
-            &serial,
-        );
-        if opts.culling == culling {
-            // As above: the legacy driver re-reads the environment, so it
-            // is pinned only for the mode `SATIOT_CULLING` selected.
-            #[allow(deprecated)] // Pins the legacy driver under the cull too.
-            let legacy = PassiveCampaign::new(config(true))
-                .run_with_site_threads()
-                .unwrap();
-            assert_identical(
-                &format!("culling {culling:?}: pool vs site-threads"),
-                &pooled,
-                &legacy,
-            );
-        }
-        let stats = cull::stats();
-        match culling {
-            CullingMode::Off => assert_eq!(
-                (
-                    stats.pairs_considered,
-                    stats.pairs_culled(),
-                    stats.pairs_kept
-                ),
-                (0, 0, 0),
-                "culling off must not touch the proof counters"
-            ),
-            CullingMode::On => {
-                assert!(stats.pairs_considered > 0, "cull stage never consulted");
-                assert_eq!(
-                    stats.pairs_considered,
-                    stats.pairs_culled() + stats.pairs_kept,
-                    "cull proof counters do not balance"
-                );
-            }
-        }
-        println!(
-            "culling {culling:?}: {} considered, {} culled, {} kept",
-            stats.pairs_considered,
-            stats.pairs_culled(),
-            stats.pairs_kept
-        );
-        per_cull.push(pooled);
-    }
-    assert_identical("culling off vs on", &per_cull[0], &per_cull[1]);
-    // Restore the environment-selected baseline latch for good measure.
-    opts.apply();
+fn main() {
+    let opts = RunOptions::default().apply();
 
     // Scenario-file determinism: the committed `tianqi_hk.scenario.json`
     // must load back to exactly the compiled-in scenario — equal spec,
-    // equal fingerprint — and the campaign it configures must be
-    // bit-identical to the compiled-in one under both the pooled and
-    // serial drivers. This is the contract that lets sweep checkpoints
-    // key on scenario fingerprints.
+    // equal fingerprint. This is the contract that lets sweep
+    // checkpoints key on scenario fingerprints; the campaigns the two
+    // configure are compared under every mode below.
     let path = concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/../../scenarios/tianqi_hk.scenario.json"
@@ -336,28 +301,60 @@ fn main() {
         loaded_scenario.fingerprint, builtin_scenario.fingerprint,
         "resolved scenario fingerprints diverged"
     );
-    sweep::clear();
-    let from_file_pooled = PassiveCampaign::new(PassiveConfig::from_scenario(&loaded_scenario))
-        .run(&opts)
-        .unwrap();
-    let from_file_serial = {
-        let mut cfg = PassiveConfig::from_scenario(&loaded_scenario);
-        cfg.parallel = false;
-        PassiveCampaign::new(cfg).run(&opts).unwrap()
-    };
-    let from_builtin = PassiveCampaign::new(PassiveConfig::from_scenario(&builtin_scenario))
-        .run(&opts)
-        .unwrap();
-    assert_identical("scenario file vs builtin", &from_file_pooled, &from_builtin);
-    assert_identical(
-        "scenario file: pool vs serial",
-        &from_file_pooled,
-        &from_file_serial,
-    );
     println!(
         "scenario file: tianqi_hk fingerprint {:#018x} matches builtin",
         loaded.fingerprint()
     );
+
+    // Drivers, sink and scenario file under every ephemeris backend ×
+    // visibility scan × culling mode, then two equivalences across
+    // modes per backend:
+    //
+    // * The chunked sweep and its scalar twin evaluate the same inlined
+    //   margin arithmetic per lane, so whole campaigns must match bit
+    //   for bit, culled or not. (Without a grid the sweep has no columns
+    //   to walk and both run the legacy scan.) The legacy scan refines
+    //   from different brackets, so it matches the sweeps only to
+    //   refinement tolerance and is compared across drivers alone.
+    // * Culling only ever drops (site, sat) pairs that geometry proves
+    //   can never clear the horizon, so the culled campaign must match
+    //   the unculled one bit for bit under every visibility scan.
+    for ephemeris in [EphemerisMode::On, EphemerisMode::Off] {
+        let runs: Vec<PassiveResults> = MODES
+            .into_iter()
+            .map(|(visibility, culling)| {
+                let label = format!(
+                    "ephemeris {ephemeris:?}, visibility {visibility:?}, culling {culling:?}"
+                );
+                let mode_opts = opts
+                    .with_ephemeris(ephemeris)
+                    .with_visibility(visibility)
+                    .with_culling(culling);
+                let run = pool_pool_serial(&label, &mode_opts);
+                sink_section(&label, &mode_opts, &run);
+                scenario_section(&label, &mode_opts, &loaded_scenario, &builtin_scenario);
+                run
+            })
+            .collect();
+        for (scalar, vector) in [(1, 0), (4, 3)] {
+            let (_, culling) = MODES[vector];
+            assert_identical(
+                &format!(
+                    "ephemeris {ephemeris:?}, culling {culling:?}: visibility scalar vs vector"
+                ),
+                &runs[scalar],
+                &runs[vector],
+            );
+        }
+        for (off, on) in [(3, 0), (4, 1), (5, 2)] {
+            let (visibility, _) = MODES[on];
+            assert_identical(
+                &format!("ephemeris {ephemeris:?}, visibility {visibility:?}: culling off vs on"),
+                &runs[off],
+                &runs[on],
+            );
+        }
+    }
 
     println!("determinism smoke: OK");
 }

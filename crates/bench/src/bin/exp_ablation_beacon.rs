@@ -19,7 +19,6 @@ fn main() {
         ],
     );
     for interval in [15.0f64, 30.0, 60.0, 120.0] {
-        #[allow(deprecated)] // ablation sweeps the literal config directly
         let mut cfg = PassiveConfig::quick(days);
         cfg.sites.retain(|s| s.code == "HK");
         cfg.constellations.retain(|c| c.name == "Tianqi");

@@ -40,7 +40,6 @@ static EMITTED: Counter = Counter::new("measure.sink.traces_emitted");
 static RETAINED: Counter = Counter::new("measure.sink.traces_retained");
 
 fn config(days: f64) -> PassiveConfig {
-    #[allow(deprecated)] // ceiling probe tweaks the literal config directly
     let mut cfg = PassiveConfig::quick(days);
     cfg.sites = measurement_sites()
         .into_iter()

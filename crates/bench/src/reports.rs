@@ -6,6 +6,7 @@
 
 use satiot_core::active::ActiveResults;
 use satiot_core::passive::{theoretical_daily_hours, PassiveResults};
+use satiot_core::RunOptions;
 use satiot_econ::{
     crossover_month, satellite_cost, terrestrial_cost, Deployment, SatellitePricing,
     TerrestrialPricing,
@@ -217,8 +218,12 @@ pub fn table3(passive: &PassiveResults) -> String {
 }
 
 /// Figure 3a — theoretical daily presence duration per constellation
-/// across the four availability cities.
+/// across the four availability cities. Passes are predicted with the
+/// modes of [`RunOptions::from_env`], the ones the campaign runners use,
+/// so a run under `SATIOT_EPHEMERIS=0` predicts Fig 3a with the same
+/// backend as its campaigns.
 pub fn fig3a(days: u32) -> String {
+    let opts = RunOptions::from_env();
     let mut t = Table::new(
         "Fig 3a: Daily satellite presence (theoretical, hours/day)",
         &["Constellation", "HK", "SYD", "LDN", "PGH"],
@@ -228,7 +233,7 @@ pub fn fig3a(days: u32) -> String {
         let mut cells = vec![format!("{} ({} sats)", spec.name, spec.sat_count())];
         for code in ["HK", "SYD", "LDN", "PGH"] {
             let site = sites.iter().find(|s| s.code == code).expect("site");
-            let hours = theoretical_daily_hours(&spec, site, days);
+            let hours = theoretical_daily_hours(&spec, site, days, &opts);
             let mean = hours.iter().sum::<f64>() / hours.len().max(1) as f64;
             cells.push(num(mean, 1));
         }

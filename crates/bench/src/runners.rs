@@ -4,10 +4,12 @@
 //! `SATIOT_*` parsing site for the whole workspace); it is re-exported
 //! here so the experiment binaries keep their one-line imports. Every
 //! runner resolves the rest of its options through
-//! [`RunOptions::from_env`] and installs them process-wide with
-//! [`RunOptions::apply`], so `SATIOT_THREADS` / `SATIOT_EPHEMERIS` /
-//! `SATIOT_BATCH` / `SATIOT_METRICS` all keep working for the bench
-//! fleet without any binary touching the environment directly.
+//! [`RunOptions::from_env`], installs the process-wide ones (threads,
+//! metrics, chaos seed, cache budget) with [`RunOptions::apply`], and
+//! hands the value to its campaigns, which carry the prediction modes
+//! (`SATIOT_EPHEMERIS` / `SATIOT_VISIBILITY` / `SATIOT_CULLING`) down
+//! to every predictor — so every knob keeps working for the bench fleet
+//! without any binary touching the environment directly.
 //!
 //! ## Scenario files
 //!

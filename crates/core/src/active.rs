@@ -302,8 +302,8 @@ impl ActiveCampaign {
     ///
     /// `opts` selects the thread count for the contact-plan sweep and
     /// the ephemeris backend for every predictor. The event-driven
-    /// uplink path stays scalar regardless of `opts.batch` — its RNG
-    /// draws interleave with event scheduling, so there is no gather
+    /// uplink path stays scalar, unlike the passive simulate phase — its
+    /// RNG draws interleave with event scheduling, so there is no gather
     /// phase to batch — but the grid-backed geometry sampling applies
     /// here exactly as in the passive campaign.
     ///

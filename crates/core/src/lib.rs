@@ -66,6 +66,6 @@ pub mod sweep_server;
 
 pub use active::{ActiveCampaign, ActiveConfig, ActiveResults};
 pub use error::{Fault, FaultLog, SatIotError};
-pub use options::{BatchMode, RunOptions, Scale};
+pub use options::{RunOptions, Scale};
 pub use passive::{PassiveCampaign, PassiveConfig, PassiveResults};
 pub use sink::{SinkMode, SinkStats, TraceSink};

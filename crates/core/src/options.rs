@@ -8,47 +8,32 @@
 //! programmatically without mutating the process environment.
 //! [`RunOptions`] replaces that: campaigns take `&RunOptions`, the
 //! environment is parsed exactly once by [`RunOptions::from_env`], and
-//! [`RunOptions::apply`] installs the process-wide latches (pool worker
-//! count, ephemeris mode, visibility scan mode, metrics flag, chaos
-//! seed) for code that sits below the campaign API.
+//! [`RunOptions::apply`] installs the process-wide settings that code
+//! below the campaign API still reads (pool worker count, metrics flag,
+//! chaos seed, cache budget). The ephemeris, visibility and culling
+//! modes are never installed anywhere: every predictor is built from
+//! the options value it is handed.
 //!
 //! ```
-//! use satiot_core::options::{BatchMode, RunOptions};
+//! use satiot_core::options::RunOptions;
 //! use satiot_orbit::ephemeris::EphemerisMode;
 //!
 //! // Machine defaults; no environment involved.
 //! let opts = RunOptions::default();
-//! assert_eq!(opts.batch, BatchMode::On);
+//! assert_eq!(opts.ephemeris, EphemerisMode::On);
 //!
 //! // Builder-style overrides on top of the environment.
 //! let opts = RunOptions::from_env()
 //!     .with_threads(Some(2))
-//!     .with_ephemeris(EphemerisMode::Off)
-//!     .with_batch(BatchMode::Off);
+//!     .with_ephemeris(EphemerisMode::Off);
 //! assert_eq!(opts.threads, Some(2));
 //! ```
 
 use crate::sink::SinkMode;
-use satiot_orbit::cull::{self, CullingMode};
-use satiot_orbit::ephemeris::{self, EphemerisMode};
-use satiot_orbit::visibility::{self, VisibilityMode};
+use satiot_orbit::cull::CullingMode;
+use satiot_orbit::ephemeris::EphemerisMode;
+use satiot_orbit::visibility::VisibilityMode;
 use satiot_sim::{chaos, pool};
-
-/// Whether the campaign simulate phase runs the batched SoA channel
-/// kernels or the element-at-a-time scalar path.
-///
-/// Both paths are bit-identical (the A/B invariant `determinism_smoke`
-/// pins); [`BatchMode::Off`] exists for baselining and bisection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BatchMode {
-    /// Gather each pass into SoA arenas and run the chunked kernels
-    /// (the default).
-    #[default]
-    On,
-    /// Evaluate the channel chain one beacon at a time (the legacy hot
-    /// path; `SATIOT_BATCH=0`).
-    Off,
-}
 
 /// Campaign scale: truncated smoke dimensions or the paper's full ones.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -95,8 +80,8 @@ impl Scale {
 /// Typed options for one campaign run.
 ///
 /// `Default` is the machine default (auto thread count, grids on,
-/// batching on, metrics off) with **no** environment involvement —
-/// hermetic for tests. [`from_env`](Self::from_env) layers the
+/// chunked visibility sweep on, culling on, metrics off) with **no**
+/// environment involvement — hermetic for tests. [`from_env`](Self::from_env) layers the
 /// `SATIOT_*` knobs on top; the `with_*` builders override either.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RunOptions {
@@ -114,8 +99,6 @@ pub struct RunOptions {
     /// bit-identical legacy; anything else = conservative cull, the
     /// default).
     pub culling: CullingMode,
-    /// Simulate-phase channel evaluation strategy (`SATIOT_BATCH`).
-    pub batch: BatchMode,
     /// Root seed for the chaos perturbation engine
     /// (`SATIOT_CHAOS_SEED`).
     pub chaos_seed: u64,
@@ -156,7 +139,6 @@ impl Default for RunOptions {
             ephemeris: EphemerisMode::On,
             visibility: VisibilityMode::On,
             culling: CullingMode::On,
-            batch: BatchMode::On,
             chaos_seed: chaos::DEFAULT_SEED,
             metrics: false,
             scale: Scale::Full,
@@ -201,9 +183,10 @@ impl RunOptions {
     ///
     /// * `SATIOT_THREADS`: unparsable → auto (`None`); `0` is the
     ///   *documented* spelling of auto, not a rejection.
-    /// * `SATIOT_EPHEMERIS` / `SATIOT_VISIBILITY` / `SATIOT_CULLING` /
-    ///   `SATIOT_BATCH`: unknown word → the `On` default.
+    /// * `SATIOT_EPHEMERIS` / `SATIOT_VISIBILITY` / `SATIOT_CULLING`:
+    ///   unknown word → the `On` default.
     /// * `SATIOT_CHAOS_SEED`: unparsable → the built-in chaos seed.
+    /// * `SATIOT_METRICS`: unknown word → off.
     /// * `SATIOT_SCALE`: unknown word → `full`.
     /// * `SATIOT_SINK`: unknown mode or a pathless `csv:`/`jsonl:` →
     ///   the full-trace sink.
@@ -256,14 +239,6 @@ impl RunOptions {
                 CullingMode::On
             }
         };
-        let batch = match lookup("SATIOT_BATCH").as_deref() {
-            Some("0") | Some("off") | Some("false") => BatchMode::Off,
-            Some("1") | Some("on") | Some("true") | Some("") | None => BatchMode::On,
-            Some(v) => {
-                reject("SATIOT_BATCH", v, "the SoA kernels (on)");
-                BatchMode::On
-            }
-        };
         let chaos_seed = lookup("SATIOT_CHAOS_SEED")
             .and_then(|v| match v.trim().parse::<u64>() {
                 Ok(s) => Some(s),
@@ -273,9 +248,14 @@ impl RunOptions {
                 }
             })
             .unwrap_or(chaos::DEFAULT_SEED);
-        let metrics = lookup("SATIOT_METRICS")
-            .map(|v| !v.is_empty() && v != "0")
-            .unwrap_or(false);
+        let metrics = match lookup("SATIOT_METRICS").as_deref() {
+            Some("1") | Some("on") | Some("true") => true,
+            Some("0") | Some("off") | Some("false") | Some("") | None => false,
+            Some(v) => {
+                reject("SATIOT_METRICS", v, "metrics off");
+                false
+            }
+        };
         let scale = match lookup("SATIOT_SCALE").as_deref() {
             Some("quick") => Scale::Quick,
             Some("full") | Some("") | None => Scale::Full,
@@ -343,7 +323,6 @@ impl RunOptions {
             ephemeris,
             visibility,
             culling,
-            batch,
             chaos_seed,
             metrics,
             scale,
@@ -377,12 +356,6 @@ impl RunOptions {
     /// Override the spatial pre-culling mode.
     pub fn with_culling(mut self, mode: CullingMode) -> Self {
         self.culling = mode;
-        self
-    }
-
-    /// Override the simulate-phase batching strategy.
-    pub fn with_batch(mut self, mode: BatchMode) -> Self {
-        self.batch = mode;
         self
     }
 
@@ -440,17 +413,15 @@ impl RunOptions {
         self
     }
 
-    /// Install these options into the process-wide latches consumed by
-    /// code below the campaign API: the pool worker count, the
-    /// ephemeris mode, the visibility scan mode, the culling mode, the
-    /// metrics flag, the chaos seed, and the cache payload budget.
-    /// Binaries call `RunOptions::from_env().apply()` once at startup;
-    /// returns `self` for chaining into a campaign call.
+    /// Install these options into the process-wide settings consumed by
+    /// code below the campaign API: the pool worker count, the metrics
+    /// flag, the chaos seed, and the cache payload budget. The
+    /// ephemeris, visibility and culling modes are not installed; they
+    /// reach pass prediction only through the `RunOptions` a campaign
+    /// is given. Binaries call `RunOptions::from_env().apply()` once at
+    /// startup; returns `self` for chaining into a campaign call.
     pub fn apply(self) -> Self {
         pool::set_thread_count(self.threads);
-        ephemeris::set_mode(self.ephemeris);
-        visibility::set_mode(self.visibility);
-        cull::set_mode(self.culling);
         satiot_obs::metrics::set_enabled(self.metrics);
         chaos::set_seed(self.chaos_seed);
         crate::sweep::set_cache_budget_bytes(self.sweep_cache_mb.map(|mb| mb << 20));
@@ -484,7 +455,6 @@ mod tests {
             ("SATIOT_EPHEMERIS", "validate"),
             ("SATIOT_VISIBILITY", "scalar"),
             ("SATIOT_CULLING", "off"),
-            ("SATIOT_BATCH", "0"),
             ("SATIOT_CHAOS_SEED", "12345"),
             ("SATIOT_METRICS", "1"),
             ("SATIOT_SCALE", "quick"),
@@ -502,7 +472,6 @@ mod tests {
         assert_eq!(opts.ephemeris, EphemerisMode::Validate);
         assert_eq!(opts.visibility, VisibilityMode::Scalar);
         assert_eq!(opts.culling, CullingMode::Off);
-        assert_eq!(opts.batch, BatchMode::Off);
         assert_eq!(opts.chaos_seed, 12345);
         assert!(opts.metrics);
         assert_eq!(opts.scale, Scale::Quick);
@@ -537,7 +506,6 @@ mod tests {
             ("SATIOT_EPHEMERIS", "plenty"),
             ("SATIOT_VISIBILITY", "simd512"),
             ("SATIOT_CULLING", "aggressive"),
-            ("SATIOT_BATCH", "yes"),
             ("SATIOT_CHAOS_SEED", "-3"),
             ("SATIOT_METRICS", "0"),
             ("SATIOT_SCALE", "huge"),
@@ -547,11 +515,20 @@ mod tests {
         assert_eq!(opts.ephemeris, EphemerisMode::On);
         assert_eq!(opts.visibility, VisibilityMode::On);
         assert_eq!(opts.culling, CullingMode::On);
-        assert_eq!(opts.batch, BatchMode::On);
         assert_eq!(opts.chaos_seed, chaos::DEFAULT_SEED);
         assert!(!opts.metrics);
         assert_eq!(opts.scale, Scale::Full);
         assert_eq!(opts.sink, SinkMode::Full);
+        // The off spellings of the other switches turn metrics off, and
+        // a malformed value falls back to off rather than reading as on.
+        let metrics =
+            |v: &str| RunOptions::from_lookup(lookup_from(&[("SATIOT_METRICS", v)])).metrics;
+        for off in ["0", "off", "false", "", "yes", "enabled", "2"] {
+            assert!(!metrics(off), "SATIOT_METRICS={off:?}");
+        }
+        for on in ["1", "on", "true"] {
+            assert!(metrics(on), "SATIOT_METRICS={on:?}");
+        }
     }
 
     #[test]
@@ -673,8 +650,8 @@ mod tests {
             ("SATIOT_EPHEMERIS", "plenty"),
             ("SATIOT_VISIBILITY", "simd512"),
             ("SATIOT_CULLING", "aggressive"),
-            ("SATIOT_BATCH", "yes"),
             ("SATIOT_CHAOS_SEED", "-3"),
+            ("SATIOT_METRICS", "yes"),
             ("SATIOT_SCALE", "huge"),
             ("SATIOT_SINK", "firehose"),
             ("SATIOT_SWEEP_SHARD", "broken"),
@@ -697,12 +674,11 @@ mod tests {
         // field, leaving the rest of the parsed values intact.
         let base = RunOptions::from_lookup(lookup_from(&[
             ("SATIOT_THREADS", "8"),
-            ("SATIOT_BATCH", "off"),
+            ("SATIOT_VISIBILITY", "scalar"),
             ("SATIOT_SCALE", "quick"),
         ]));
         let opts = base
             .with_threads(Some(2))
-            .with_batch(BatchMode::On)
             .with_ephemeris(EphemerisMode::Off)
             .with_visibility(VisibilityMode::Off)
             .with_culling(CullingMode::Off)
@@ -712,7 +688,6 @@ mod tests {
             .with_sink(SinkMode::Aggregate);
         assert_eq!(opts.sink, SinkMode::Aggregate);
         assert_eq!(opts.threads, Some(2));
-        assert_eq!(opts.batch, BatchMode::On);
         assert_eq!(opts.ephemeris, EphemerisMode::Off);
         assert_eq!(opts.visibility, VisibilityMode::Off);
         assert_eq!(opts.culling, CullingMode::Off);
@@ -721,7 +696,7 @@ mod tests {
         assert_eq!(opts.scale, Scale::Full);
         // Untouched builder chains preserve the parsed values.
         assert_eq!(base.threads, Some(8));
-        assert_eq!(base.batch, BatchMode::Off);
+        assert_eq!(base.visibility, VisibilityMode::Scalar);
         assert_eq!(base.scale, Scale::Quick);
     }
 

@@ -19,7 +19,7 @@
 
 pub use crate::active::{ActiveCampaign, ActiveConfig, ActiveResults};
 pub use crate::error::{Fault, FaultLog, SatIotError};
-pub use crate::options::{BatchMode, RunOptions, Scale};
+pub use crate::options::{RunOptions, Scale};
 pub use crate::passive::{PassiveCampaign, PassiveConfig, PassiveResults, SchedulerKind};
 pub use crate::sink::{SinkMode, SinkStats};
 pub use crate::sweep::PassKey;

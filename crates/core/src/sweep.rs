@@ -36,12 +36,12 @@
 
 use satiot_obs::metrics::{Counter, Gauge};
 use satiot_orbit::cull::{self, CullingMode};
-use satiot_orbit::ephemeris::{self, EphemerisGrid, EphemerisMode};
+use satiot_orbit::ephemeris::{EphemerisGrid, EphemerisMode};
 use satiot_orbit::frames::{Geodetic, StateEcef};
 use satiot_orbit::pass::{Pass, PassPredictor};
 use satiot_orbit::sgp4::Sgp4;
 use satiot_orbit::time::JulianDate;
-use satiot_orbit::visibility::{self, VisibilityMode};
+use satiot_orbit::visibility::VisibilityMode;
 use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
 use std::mem::size_of;
@@ -602,11 +602,11 @@ pub fn grid_stats() -> GridStats {
 }
 
 /// Build the pass predictor every campaign driver uses for one
-/// `(satellite, site, window)` triple, honouring the process-wide
-/// [`ephemeris::mode`]:
+/// `(satellite, site, window)` triple under explicit modes. The
+/// ephemeris `mode`:
 ///
 /// * `Off` — a plain direct-SGP4 predictor, bit-identical to the
-///   pre-ephemeris pipeline (the `SATIOT_EPHEMERIS=0` A/B baseline).
+///   pre-ephemeris pipeline.
 /// * `On` (default) — attaches the shared [`EphemerisGrid`] for the
 ///   satellite's window from [`grid_for`], so coarse scan, bisection
 ///   refinement, and culmination search all interpolate instead of
@@ -615,45 +615,15 @@ pub fn grid_stats() -> GridStats {
 ///   against direct SGP4 and the process aborts if the accuracy
 ///   contract is violated (CI's `ephemeris_check` runs in this mode).
 ///
-/// The predictor also carries the process-wide [`visibility::mode`]:
-/// with a grid attached, `Scalar`/`On` replace the coarse elevation
-/// scan with the bit-identical-pair margin sweeps over the grid's
-/// columns (`SATIOT_VISIBILITY`); without a grid (`SATIOT_EPHEMERIS=0`)
-/// the sweep has no columns to walk and the legacy scan runs
-/// regardless.
+/// The predictor also carries the `visibility` mode: with a grid
+/// attached, `Scalar`/`On` replace the coarse elevation scan with the
+/// bit-identical-pair margin sweeps over the grid's columns; without a
+/// grid (ephemeris `Off`) the sweep has no columns to walk and the
+/// legacy scan runs regardless.
 ///
-/// Both the pooled predict phases and the legacy inline path construct
-/// their predictors here, which is what keeps the drivers bit-identical:
-/// they share not just the algorithm but the very same grid `Arc`s.
-///
-/// Returns `None` when the process-wide [`cull::mode`] is on and the
-/// pair is provably invisible over the window (see
-/// [`predictor_with_mode`]) — the pass list is empty by construction.
-pub fn sat_predictor(
-    constellation: &str,
-    sat_id: u32,
-    sgp4: &Sgp4,
-    site: Geodetic,
-    mask_rad: f64,
-    start: JulianDate,
-    end: JulianDate,
-) -> Option<PassPredictor> {
-    let key = GridKey::new(constellation, sat_id, start, end);
-    predictor_with_mode(
-        ephemeris::mode(),
-        visibility::mode(),
-        cull::mode(),
-        key,
-        sgp4,
-        site,
-        mask_rad,
-    )
-}
-
-/// [`sat_predictor`] with every mode passed explicitly, so campaign
-/// drivers can honour `RunOptions::ephemeris` / `RunOptions::visibility`
-/// / `RunOptions::culling` overrides (and tests can exercise every
-/// branch) without racing on the global mode latches.
+/// Every predict phase and the simulate phase construct their
+/// predictors here, which is what keeps the drivers bit-identical: they
+/// share not just the algorithm but the very same grid `Arc`s.
 ///
 /// With `culling` on, the pair runs the conservative spatial pre-cull
 /// before any grid interpolation: the latitude-band test needs no
@@ -855,58 +825,6 @@ mod tests {
             assert!((d.los.seconds_since(g.los)).abs() < 0.1);
             assert!((d.max_elevation_rad - g.max_elevation_rad).abs() < 0.01_f64.to_radians());
         }
-    }
-
-    #[test]
-    fn culling_drops_invisible_pairs_and_keeps_visible_ones() {
-        let start = epoch();
-        let end = epoch() + 0.5;
-        // Low-inclination shell: never visible from a polar site.
-        let sgp4 = Elements::circular(550.0, 20.0, epoch()).to_sgp4().unwrap();
-        let polar = Geodetic::from_degrees(80.0, 10.0, 0.0);
-        let equatorial = Geodetic::from_degrees(0.0, 10.0, 0.0);
-        let key = GridKey::new("TEST_CULL", 0, start, end);
-
-        let before = cull::stats();
-        let culled = predictor_with_mode(
-            EphemerisMode::On,
-            VisibilityMode::On,
-            CullingMode::On,
-            key,
-            &sgp4,
-            polar,
-            0.0,
-        );
-        assert!(culled.is_none(), "polar pair survived the lat-band cull");
-        let kept = predictor_with_mode(
-            EphemerisMode::On,
-            VisibilityMode::On,
-            CullingMode::On,
-            key,
-            &sgp4,
-            equatorial,
-            0.0,
-        );
-        let kept = kept.expect("equatorial pair must be kept");
-        let after = cull::stats();
-        assert_eq!(after.pairs_considered - before.pairs_considered, 2);
-        assert_eq!(after.pairs_culled() - before.pairs_culled(), 1);
-        assert_eq!(after.pairs_kept - before.pairs_kept, 1);
-
-        // The kept pair's pass set is bit-identical to the unculled one.
-        let unculled = predictor_with_mode(
-            EphemerisMode::On,
-            VisibilityMode::On,
-            CullingMode::Off,
-            key,
-            &sgp4,
-            equatorial,
-            0.0,
-        )
-        .expect("culling off never drops a pair");
-        assert_eq!(kept.passes(start, end), unculled.passes(start, end));
-        // Culling off moves no counters.
-        assert_eq!(cull::stats(), after);
     }
 
     #[test]

@@ -75,7 +75,7 @@ use crate::frames::Geodetic;
 use crate::time::JulianDate;
 use core::f64::consts::PI;
 use satiot_obs::metrics::Counter;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering::Relaxed};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 /// Pad, km, added to the satellite's maximum geocentric radius before
 /// computing the cone half-angle. Covers SGP4 short-period J₂ radial
@@ -113,31 +113,6 @@ pub enum CullingMode {
     /// (the default). Conservative: the surviving pass set is
     /// bit-identical to [`CullingMode::Off`].
     On,
-}
-
-// Cached mode: 255 = not yet pinned.
-static MODE: AtomicU8 = AtomicU8::new(u8::MAX);
-
-/// The process-wide culling mode. Defaults to [`CullingMode::On`] until
-/// pinned with [`set_mode`]; the `SATIOT_CULLING` environment knob
-/// reaches this latch through
-/// `satiot_core::RunOptions::from_env().apply()` — this module never
-/// reads the environment itself.
-pub fn mode() -> CullingMode {
-    match MODE.load(Relaxed) {
-        0 => CullingMode::Off,
-        _ => CullingMode::On,
-    }
-}
-
-/// Pin the mode programmatically (tests and A/B harnesses that cannot
-/// restart the process). Call before any campaign runs.
-pub fn set_mode(m: CullingMode) {
-    let code = match m {
-        CullingMode::Off => 0,
-        CullingMode::On => 1,
-    };
-    MODE.store(code, Relaxed);
 }
 
 // Always-on proof-of-work counters (plain atomics so they report even
@@ -340,16 +315,6 @@ mod tests {
 
     fn epoch() -> JulianDate {
         JulianDate::from_calendar(2025, 3, 1, 0, 0, 0.0)
-    }
-
-    #[test]
-    fn mode_latch_round_trips() {
-        let before = mode();
-        set_mode(CullingMode::Off);
-        assert_eq!(mode(), CullingMode::Off);
-        set_mode(CullingMode::On);
-        assert_eq!(mode(), CullingMode::On);
-        set_mode(before);
     }
 
     #[test]

@@ -94,24 +94,22 @@
 //!
 //! ## The `SATIOT_EPHEMERIS` knob
 //!
-//! * `SATIOT_EPHEMERIS=0` (or `off`) — direct SGP4 everywhere; the A/B
-//!   baseline.
+//! * `SATIOT_EPHEMERIS=0` (or `off`) — direct SGP4 everywhere.
 //! * unset / any other value — grids on (the default).
 //! * `SATIOT_EPHEMERIS=validate` — grids on, and every grid built
 //!   through `satiot_core::sweep` is probed against direct SGP4 at
 //!   build time, panicking if the position contract is violated.
 //!
-//! The knob is parsed once by `satiot_core::RunOptions::from_env()` and
-//! installed here via [`set_mode`]; a campaign run pins one backend for
-//! its whole duration, so drivers can never mix backends mid-run (which
-//! would break bit-determinism).
+//! The knob is parsed once by `satiot_core::RunOptions::from_env()`,
+//! and a campaign hands its one [`EphemerisMode`] to every predictor it
+//! builds, so its phases can never mix backends mid-run (which would
+//! break bit-determinism). This module holds no mode of its own.
 
 use crate::frames::{teme_to_ecef, teme_to_ecef_by, StateEcef};
 use crate::sgp4::{count_propagations, KeplerTally, Sgp4, LANES};
 use crate::time::JulianDate;
 use crate::vec3::Vec3;
 use satiot_obs::metrics::Counter;
-use std::sync::atomic::{AtomicU8, Ordering::Relaxed};
 use std::sync::{Arc, Mutex, PoisonError, Weak};
 
 /// Grids built process-wide (metrics).
@@ -145,7 +143,7 @@ pub const MAX_POSITION_ERROR_KM: f64 = 0.05;
 /// ground observer with the satellite above the horizon.
 pub const MAX_ELEVATION_ERROR_DEG: f64 = 0.01;
 
-/// How the process uses ephemeris grids (see the module docs).
+/// How pass prediction uses ephemeris grids (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EphemerisMode {
     /// Direct SGP4 everywhere (the A/B baseline).
@@ -154,34 +152,6 @@ pub enum EphemerisMode {
     On,
     /// Grids on, plus a build-time probe of the position contract.
     Validate,
-}
-
-// Cached mode: 255 = not yet read from the environment.
-static MODE: AtomicU8 = AtomicU8::new(u8::MAX);
-
-/// The process-wide ephemeris mode. Defaults to [`EphemerisMode::On`]
-/// until pinned with [`set_mode`]; the `SATIOT_EPHEMERIS` environment
-/// knob reaches this latch through
-/// `satiot_core::RunOptions::from_env().apply()` — this module never
-/// reads the environment itself.
-pub fn mode() -> EphemerisMode {
-    match MODE.load(Relaxed) {
-        0 => EphemerisMode::Off,
-        2 => EphemerisMode::Validate,
-        _ => EphemerisMode::On,
-    }
-}
-
-/// Pin the mode programmatically (tests and A/B harnesses that cannot
-/// restart the process). Call before any campaign runs: the mode must
-/// not change mid-run.
-pub fn set_mode(m: EphemerisMode) {
-    let code = match m {
-        EphemerisMode::Off => 0,
-        EphemerisMode::On => 1,
-        EphemerisMode::Validate => 2,
-    };
-    MODE.store(code, Relaxed);
 }
 
 /// A worst-case probe report from [`EphemerisGrid::validate`].
@@ -794,20 +764,5 @@ mod tests {
         // At the default step the real error is ~3 orders tighter than
         // the contract constant.
         assert!(report.max_position_error_km < 1e-3);
-    }
-
-    #[test]
-    fn mode_parses_the_environment_values() {
-        // The cached global is process-wide; test the pure parse shape
-        // by exercising set_mode/mode round-trips instead.
-        for m in [
-            EphemerisMode::Off,
-            EphemerisMode::Validate,
-            EphemerisMode::On,
-        ] {
-            set_mode(m);
-            assert_eq!(mode(), m);
-        }
-        set_mode(EphemerisMode::On);
     }
 }

@@ -160,8 +160,8 @@ impl PassPredictor {
     /// falls back to the legacy loop otherwise, so enabling a sweep
     /// never changes which windows are answerable. Raw constructors
     /// default to [`VisibilityMode::Off`] (the legacy scan);
-    /// `satiot_core::sweep` threads the process-wide knob through
-    /// here.
+    /// `satiot_core::sweep::predictor_with_mode` threads the run's
+    /// mode through here.
     pub fn with_visibility(mut self, mode: VisibilityMode) -> Self {
         self.visibility = mode;
         self

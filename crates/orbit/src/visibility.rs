@@ -88,7 +88,6 @@ use crate::ephemeris::EphemerisGrid;
 use crate::time::JulianDate;
 use crate::topo::Observer;
 use satiot_obs::metrics::Counter;
-use std::sync::atomic::{AtomicU8, Ordering::Relaxed};
 
 /// Column sweeps executed (one per satellite grid per scan) (metrics).
 static SWEEPS: Counter = Counter::new("orbit.visibility.sweeps");
@@ -126,34 +125,6 @@ pub enum VisibilityMode {
     Scalar,
     /// Margin sweep in [`CHUNK`]-wide vector kernels (the default).
     On,
-}
-
-// Cached mode: 255 = not yet pinned.
-static MODE: AtomicU8 = AtomicU8::new(u8::MAX);
-
-/// The process-wide visibility mode. Defaults to [`VisibilityMode::On`]
-/// until pinned with [`set_mode`]; the `SATIOT_VISIBILITY` environment
-/// knob reaches this latch through
-/// `satiot_core::RunOptions::from_env().apply()` — this module never
-/// reads the environment itself.
-pub fn mode() -> VisibilityMode {
-    match MODE.load(Relaxed) {
-        0 => VisibilityMode::Off,
-        1 => VisibilityMode::Scalar,
-        _ => VisibilityMode::On,
-    }
-}
-
-/// Pin the mode programmatically (tests and A/B harnesses that cannot
-/// restart the process). Call before any campaign runs: the mode must
-/// not change mid-run.
-pub fn set_mode(m: VisibilityMode) {
-    let code = match m {
-        VisibilityMode::Off => 0,
-        VisibilityMode::Scalar => 1,
-        VisibilityMode::On => 2,
-    };
-    MODE.store(code, Relaxed);
 }
 
 /// What a sweep event window asks refinement to do.
@@ -740,19 +711,6 @@ mod tests {
 
     fn hk() -> Observer {
         Observer::new(Geodetic::from_degrees(22.3193, 114.1694, 0.05))
-    }
-
-    #[test]
-    fn mode_latch_round_trips() {
-        for m in [
-            VisibilityMode::Off,
-            VisibilityMode::Scalar,
-            VisibilityMode::On,
-        ] {
-            set_mode(m);
-            assert_eq!(mode(), m);
-        }
-        set_mode(VisibilityMode::On);
     }
 
     #[test]

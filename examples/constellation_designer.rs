@@ -8,6 +8,7 @@
 //! Run with: `cargo run --release --example constellation_designer [SITE]`
 
 use satiot::core::passive::theoretical_daily_hours;
+use satiot::core::RunOptions;
 use satiot::scenarios::constellations::{ConstellationSpec, Shell};
 use satiot::scenarios::sites::measurement_sites;
 
@@ -47,7 +48,7 @@ fn main() {
             tx_power_dbm: 22.0,
             walker: None,
         };
-        let hours = theoretical_daily_hours(&spec, &site, 5);
+        let hours = theoretical_daily_hours(&spec, &site, 5, &RunOptions::default());
         let mean = hours.iter().sum::<f64>() / hours.len().max(1) as f64;
         let effective = mean * effective_ratio;
         let gap = if mean >= 23.9 {

@@ -16,7 +16,6 @@ fn opts() -> RunOptions {
 
 #[test]
 fn passive_is_bit_identical_across_runs_and_threading() {
-    #[allow(deprecated)] // test pins the literal constructor
     let mut cfg = PassiveConfig::quick(2.0);
     cfg.sites.retain(|s| matches!(s.code, "HK" | "SYD" | "GZ"));
     cfg.constellations = vec![pico()];

@@ -17,7 +17,6 @@ fn opts() -> RunOptions {
 }
 
 fn small_passive() -> PassiveConfig {
-    #[allow(deprecated)] // test pins the literal constructor
     let mut cfg = PassiveConfig::quick(3.0);
     cfg.sites.retain(|s| s.code == "HK");
     cfg.constellations = vec![tianqi(), fossa()];
@@ -156,7 +155,6 @@ fn satellite_beats_terrestrial_on_nothing_but_coverage() {
 #[test]
 fn all_sites_produce_data_at_full_breadth() {
     // Every Table 1 site yields traces once its deployment window opens.
-    #[allow(deprecated)] // test pins the literal constructor
     let mut cfg = PassiveConfig::quick(2.0);
     cfg.constellations = vec![tianqi()];
     let results = PassiveCampaign::new(cfg).run(&opts()).unwrap();

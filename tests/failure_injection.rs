@@ -101,13 +101,11 @@ fn single_node_single_day_still_works() {
 fn passive_with_no_sites_or_no_constellations_is_rejected() {
     // A campaign with nothing to observe is a configuration error, not an
     // empty success: the caller gets a typed rejection up front.
-    #[allow(deprecated)] // test feeds deliberately invalid literal configs
     let mut cfg = PassiveConfig::quick(1.0);
     cfg.sites.clear();
     let err = PassiveCampaign::new(cfg).run(&opts()).unwrap_err();
     assert!(matches!(err, SatIotError::EmptyPassList { .. }), "{err}");
 
-    #[allow(deprecated)] // test feeds deliberately invalid literal configs
     let mut cfg = PassiveConfig::quick(1.0);
     cfg.constellations.clear();
     cfg.sites.retain(|s| s.code == "HK");
@@ -122,7 +120,6 @@ fn passive_before_site_start_produces_nothing() {
     // each site's own start, so instead verify a zero-length cap.  A
     // zero-day window is degenerate per site, so it is skipped and
     // counted rather than scanned.
-    #[allow(deprecated)] // test feeds deliberately invalid literal configs
     let mut cfg = PassiveConfig::quick(0.0);
     cfg.sites.retain(|s| s.code == "HK");
     cfg.constellations = vec![fossa()];

@@ -20,7 +20,6 @@ fn opts() -> RunOptions {
 }
 
 fn hk_passive(days: f64) -> PassiveConfig {
-    #[allow(deprecated)] // test pins the literal constructor
     let mut cfg = PassiveConfig::quick(days);
     cfg.sites.retain(|s| s.code == "HK");
     cfg.parallel = false;
@@ -88,11 +87,11 @@ fn constellation_size_drives_availability() {
         .into_iter()
         .find(|s| s.code == "HK")
         .unwrap();
-    let t: f64 = theoretical_daily_hours(&tianqi(), &hk, 3)
+    let t: f64 = theoretical_daily_hours(&tianqi(), &hk, 3, &opts())
         .iter()
         .sum::<f64>()
         / 3.0;
-    let f: f64 = theoretical_daily_hours(&fossa(), &hk, 3)
+    let f: f64 = theoretical_daily_hours(&fossa(), &hk, 3, &opts())
         .iter()
         .sum::<f64>()
         / 3.0;

@@ -17,7 +17,6 @@ use satiot_bench::reports;
 
 #[test]
 fn every_report_renders_from_a_one_day_campaign() {
-    #[allow(deprecated)] // test pins the literal constructor
     let mut pcfg = PassiveConfig::quick(1.5);
     pcfg.sites.retain(|s| {
         matches!(

@@ -12,7 +12,6 @@ use satiot::scenarios::constellations::pico;
 /// A small deterministic campaign with two sites, so per-site spill
 /// parts and sketch shard merges are both exercised.
 fn small_config() -> PassiveConfig {
-    #[allow(deprecated)] // test pins the literal constructor
     let mut cfg = PassiveConfig::quick(1.0);
     cfg.sites.retain(|s| matches!(s.code, "HK" | "GZ"));
     cfg.constellations = vec![pico()];
